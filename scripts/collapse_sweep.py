@@ -16,7 +16,6 @@ def main() -> None:
     ap.add_argument("--lengths", default="1000,10000,100000")
     ap.add_argument("--trials", type=int, default=50)
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--threads", type=int, default=1)
     args = ap.parse_args()
 
     alphabets = [int(t) for t in args.alphabets.split(",")]
@@ -26,7 +25,7 @@ def main() -> None:
         for M in lengths:
             cfg = ExperimentConfig(kind="uniform_collapse", M=M, trials=args.trials,
                                    seed=args.seed, C=C)
-            rec = run_collapse_experiment(cfg, threads=args.threads)
+            rec = run_collapse_experiment(cfg)
             agg = rec.aggregate
             ci = f"[{agg['ci_low']:.3f},{agg['ci_high']:.3f}]"
             print(f"{C:>3} {M:>8} {agg['collapsed']:>7}/{args.trials:<3}"

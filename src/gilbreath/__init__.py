@@ -11,7 +11,7 @@ from .triangle import (
     parity_step,
     ultimate_iterate,
 )
-from .parity import ParityMask, mask, mask_via_binomial, parity_of_ultimate, prob_even
+from .parity import ParityMask, mask, parity_of_ultimate, prob_even
 from .blocks import (
     BlockReport,
     BlockSpec,

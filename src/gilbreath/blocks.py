@@ -32,41 +32,37 @@ class BlockReport:
     witness_present: bool
 
 
-def longest_block(row: Sequence[int], spec: BlockSpec) -> BlockReport:
-    """Longest contiguous run with all entries in spec.allowed, one left-to-right scan.
+def _longest_run(row: Sequence[int], keep, witness: int | None = None) -> tuple[int, int]:
+    """(length, 1-based start) of the longest maximal run of entries with keep(v)
+    true, one left-to-right scan; (0, 0) when there is none.
 
-    With require_witness set, only runs containing the witness count.  Ties
-    break to the smallest start index.
+    With `witness` set, only runs containing the witness count.  Ties break
+    to the smallest start index.
     """
     best_len = 0
     best_start = 0
     run_start = None
-    run_has_witness = False
-
-    def close(end: int) -> None:
-        nonlocal best_len, best_start
-        if run_start is None:
-            return
-        if spec.require_witness is not None and not run_has_witness:
-            return
-        length = end - run_start
-        if length > best_len:
-            best_len = length
-            best_start = run_start + 1
-
-    for j, v in enumerate(row):
-        if v in spec.allowed:
+    seen = False
+    for j in range(len(row) + 1):
+        if j < len(row) and keep(row[j]):
             if run_start is None:
-                run_start = j
-                run_has_witness = False
-            if v == spec.require_witness:
-                run_has_witness = True
-        else:
-            close(j)
+                run_start, seen = j, witness is None
+            seen = seen or row[j] == witness
+        elif run_start is not None:
+            if seen and j - run_start > best_len:
+                best_len, best_start = j - run_start, run_start + 1
             run_start = None
-    close(len(row))
-    witness = spec.require_witness is not None and best_len > 0
-    return BlockReport(best_len, best_start, witness)
+    return best_len, best_start
+
+
+def longest_block(row: Sequence[int], spec: BlockSpec) -> BlockReport:
+    """Longest contiguous run with all entries in spec.allowed.
+
+    With require_witness set, only runs containing the witness count.  Ties
+    break to the smallest start index.
+    """
+    length, start = _longest_run(row, spec.allowed.__contains__, spec.require_witness)
+    return BlockReport(length, start, spec.require_witness is not None and length > 0)
 
 
 @dataclass(frozen=True)
@@ -107,24 +103,6 @@ class DichotomyVerdict:
     row_index: int | None
     start_index: int | None  # 1-based
     block_length: int | None
-
-
-def _longest_run(row: Sequence[int], keep) -> tuple[int, int]:
-    """(length, 1-based start) of the longest run of entries with keep(v) true."""
-    best_len = 0
-    best_start = 0
-    run_start = None
-    for j, v in enumerate(row):
-        if keep(v):
-            if run_start is None:
-                run_start = j
-        else:
-            if run_start is not None and j - run_start > best_len:
-                best_len, best_start = j - run_start, run_start + 1
-            run_start = None
-    if run_start is not None and len(row) - run_start > best_len:
-        best_len, best_start = len(row) - run_start, run_start + 1
-    return best_len, best_start
 
 
 def check_inverse_iterates(history: TriangleHistory, i: int, d: int, L: int) -> DichotomyVerdict:

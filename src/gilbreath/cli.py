@@ -14,7 +14,6 @@ import csv
 import hashlib
 import io
 import json
-import os
 import secrets
 import sys
 import time
@@ -22,7 +21,7 @@ from fractions import Fraction
 
 from . import __version__, experiments, lifting, parity, primes, walks
 from .blocks import BlockSpec, check_block_destruction, detect_event_cascade, longest_block
-from .triangle import StopKind, StopRule, TriangleHistory, iterate_until, validate_row
+from .triangle import Finding, StopKind, StopRule, TriangleHistory, iterate_until, validate_row
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -35,14 +34,6 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
-
-
-class Finding(Exception):
-    """A falsified invariant: mathematically significant, never swallowed."""
-
-    def __init__(self, message: str, reproducer: dict):
-        super().__init__(message)
-        self.reproducer = reproducer
 
 
 def _parse_values(text: str) -> list[int]:
@@ -64,13 +55,6 @@ def _resolve_seed(raw: str) -> int:
         print(f"seed={seed}", file=sys.stderr)
         return seed
     return int(raw)
-
-
-def _resolve_threads(value: int | None) -> int:
-    if value is not None:
-        return max(1, value)
-    env = os.environ.get("GILBREATH_THREADS")
-    return max(1, int(env)) if env else 1
 
 
 def _run_id(subcommand: str, params: dict, seed: int) -> str:
@@ -289,14 +273,13 @@ def _cmd_bootstrap(args) -> list[dict]:
 
 
 def _cmd_experiment(args) -> list[dict]:
-    threads = _resolve_threads(args.threads)
     if args.experiment_kind == "collapse":
         _require(args.M is not None and args.C is not None, "collapse needs --M and --C")
         cfg = experiments.ExperimentConfig(
             kind="uniform_collapse", M=args.M, trials=args.trials, seed=args.seed,
             C=args.C, T=args.T, weights=tuple(args.weights) if args.weights else None,
             trial_offset=args.trial_offset)
-        record = experiments.run_collapse_experiment(cfg, threads=threads)
+        record = experiments.run_collapse_experiment(cfg)
     elif args.experiment_kind == "increasing-alphabet":
         _require(args.M is not None and args.f is not None,
                  "increasing-alphabet needs --M and --f")
@@ -304,24 +287,22 @@ def _cmd_experiment(args) -> list[dict]:
             kind="increasing_alphabet", M=args.M, trials=args.trials, seed=args.seed,
             schedule=experiments.Schedule.parse(args.f), T=args.T,
             trial_offset=args.trial_offset)
-        record = experiments.run_collapse_experiment(cfg, threads=threads)
+        record = experiments.run_collapse_experiment(cfg)
     elif args.experiment_kind == "leading-term":
         _require(args.M is not None and args.f is not None, "leading-term needs --M and --f")
         cfg = experiments.ExperimentConfig(
             kind="gap_leading_term", M=args.M, trials=args.trials, seed=args.seed,
             schedule=experiments.Schedule.parse(args.f), trial_offset=args.trial_offset)
-        record = experiments.run_leading_term_experiment(cfg, threads=threads)
+        record = experiments.run_leading_term_experiment(cfg)
     else:  # ultimate-zero
         _require(args.C is not None and args.depth is not None,
                  "ultimate-zero needs --C and --depth")
         record = experiments.estimate_ultimate_zero(
-            args.C, args.depth, args.trials, args.seed, threads=threads,
-            trial_offset=args.trial_offset)
-    agg = json.loads(record.aggregate_line())
-    print(f"aggregate: {json.dumps(agg['result'], sort_keys=True)}")
+            args.C, args.depth, args.trials, args.seed, trial_offset=args.trial_offset)
+    print(f"aggregate: {json.dumps({'record': 'aggregate', **record.aggregate}, sort_keys=True)}")
     print(f"wall time: {record.wall_time:.3f}s", file=sys.stderr)
     if args.format == "csv":
-        lines = _records_to_lines([agg], "csv")
+        lines = _records_to_lines(list(record.records()), "csv")
     else:
         lines = record.jsonl_lines()
     _write_records(lines, args.out)
@@ -399,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="write records to this file")
         p.add_argument("--format", choices=("jsonl", "csv"), default="jsonl")
         p.add_argument("--threads", type=int,
-                       help="worker threads (default: env GILBREATH_THREADS or 1)")
+                       help="deprecated and ignored; runs are single-threaded")
 
     p = sub.add_parser("triangle", help="print the difference triangle of a row")
     p.add_argument("--values", required=True, help="comma-separated row entries")

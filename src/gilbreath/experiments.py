@@ -12,15 +12,21 @@ import json
 import hashlib
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
-from .primes import stabilization_predicate
-from .triangle import batch_ultimate, enumerate_rows
+from .triangle import (
+    Finding,
+    StopRule,
+    batch_ultimate,
+    enumerate_rows,
+    iterate_until,
+    stabilization_predicate,
+    step_array,
+)
 
 KINDS = ("uniform_collapse", "gap_leading_term", "increasing_alphabet", "ultimate_zero")
 
@@ -122,6 +128,10 @@ class ExperimentConfig:
                 raise ValueError("weights must sum to 1")
 
     @property
+    def indices(self) -> range:
+        return range(self.trial_offset, self.trial_offset + self.trials)
+
+    @property
     def budget(self) -> int:
         # Default budget is the full triangle.
         return self.T if self.T is not None else self.M - 1
@@ -172,31 +182,23 @@ class ExperimentRecord:
     aggregate: dict
     wall_time: float  # kept in memory only; never serialized, for reproducibility
 
-    def jsonl_lines(self) -> list[str]:
-        run_id = self.config.run_id()
-        params = self.config.params()
-        lines = []
-        for tr in self.trials:
-            obj = {
-                "run_id": run_id,
-                "kind": self.config.kind,
-                "seed": self.config.seed,
-                "params": params,
-                "result": {"record": "trial", **tr.metrics()},
-            }
-            lines.append(json.dumps(obj, sort_keys=True, separators=(",", ":")))
-        lines.append(self.aggregate_line())
-        return lines
+    def records(self) -> Iterator[dict]:
+        """One record per trial, in trial order, then the aggregate record.
 
-    def aggregate_line(self) -> str:
-        obj = {
+        A generator, so that writing JSONL never holds every record at once.
+        """
+        head = {
             "run_id": self.config.run_id(),
             "kind": self.config.kind,
             "seed": self.config.seed,
             "params": self.config.params(),
-            "result": dict({"record": "aggregate"}, **self.aggregate),
         }
-        return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+        for tr in self.trials:
+            yield dict(head, result={"record": "trial", **tr.metrics()})
+        yield dict(head, result={"record": "aggregate", **self.aggregate})
+
+    def jsonl_lines(self) -> list[str]:
+        return [json.dumps(r, sort_keys=True, separators=(",", ":")) for r in self.records()]
 
 
 def derive_trial_stream(master_seed: int, trial_index: int) -> np.random.Generator:
@@ -283,33 +285,7 @@ def sample_gap_sequence(M: int, schedule: Schedule, stream: np.random.Generator)
     return out
 
 
-def _abs_diff(row: np.ndarray) -> np.ndarray:
-    return np.abs(row[1:] - row[:-1])
-
-
-def _collapse_iteration(row: np.ndarray, budget: int) -> int | None:
-    """First iteration at which every entry is 0 or 1, or None within budget."""
-    it = 0
-    while True:
-        if int(row.max()) <= 1:
-            return it
-        if row.size == 1 or it >= budget:
-            return None
-        row = _abs_diff(row)
-        it += 1
-
-
-def _run_trials(
-    cfg: ExperimentConfig, one_trial: Callable[[int], TrialResult], threads: int
-) -> list[TrialResult]:
-    indices = range(cfg.trial_offset, cfg.trial_offset + cfg.trials)
-    if threads <= 1:
-        return [one_trial(i) for i in indices]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(one_trial, indices))
-
-
-def run_collapse_experiment(cfg: ExperimentConfig, threads: int = 1) -> ExperimentRecord:
+def run_collapse_experiment(cfg: ExperimentConfig) -> ExperimentRecord:
     """Per trial: sample a row, difference until everything is 0 or 1 or the
     budget runs out; aggregate the collapsed fraction and median collapse time."""
     if cfg.kind not in ("uniform_collapse", "increasing_alphabet"):
@@ -325,11 +301,15 @@ def run_collapse_experiment(cfg: ExperimentConfig, threads: int = 1) -> Experime
                 row = sample_uniform(cfg.M, cfg.C, rng)
         else:
             row = sample_schedule(cfg.M, cfg.schedule, rng)
-        it = _collapse_iteration(row, cfg.budget)
+        res = iterate_until(row, StopRule.all_le_one(), cfg.budget)
+        it = res.iterations if res.reason == "stop" else None
+        # Free the last row before the sampled one, as a loop-local row would
+        # be: the other order costs about a third more page faults per trial.
+        del res
         return TrialResult(index, derived_seed(cfg.seed, index), collapse_iteration=it)
 
     start = time.perf_counter()
-    trials = _run_trials(cfg, one_trial, threads)
+    trials = [one_trial(i) for i in cfg.indices]
     collapsed = [t.collapse_iteration for t in trials if t.collapse_iteration is not None]
     low, high = wilson_interval(len(collapsed), cfg.trials)
     aggregate = {
@@ -360,14 +340,14 @@ def _leading_term_trial(cfg: ExperimentConfig, index: int) -> TrialResult:
     firsts: list[int] = []
     stabilized_at = None
     for i in range(1, cfg.M + 1):
-        row = _abs_diff(row)
+        row = step_array(row)
         firsts.append(int(row[0]))
         if stabilization_predicate(row):
             stabilized_at = i
-            if row.size > 1:
-                # Spot-check the closure that justifies stopping early.
-                nxt = _abs_diff(row)
-                assert stabilization_predicate(nxt), "0/2-tail stability violated"
+            # Spot-check the closure that justifies stopping early.
+            if row.size > 1 and not stabilization_predicate(step_array(row)):
+                raise Finding("0/2-tail stability violated",
+                              {"seed": cfg.seed, "trial_index": index, "row": i + 1})
             break
     last_bad = max((i for i, v in enumerate(firsts, start=1) if v != 1), default=0)
     if stabilized_at is None and firsts[-1] != 1:
@@ -383,13 +363,13 @@ def _leading_term_trial(cfg: ExperimentConfig, index: int) -> TrialResult:
     )
 
 
-def run_leading_term_experiment(cfg: ExperimentConfig, threads: int = 1) -> ExperimentRecord:
+def run_leading_term_experiment(cfg: ExperimentConfig) -> ExperimentRecord:
     """Per trial: stream the triangle of a random gap sequence, tracking the
     first entry of every row, and report the least M_0 from which it is all 1s."""
     if cfg.kind != "gap_leading_term":
         raise ValueError("leading-term experiments need kind gap_leading_term")
     start = time.perf_counter()
-    trials = _run_trials(cfg, lambda i: _leading_term_trial(cfg, i), threads)
+    trials = [_leading_term_trial(cfg, i) for i in cfg.indices]
     finite = [t.m0 for t in trials if t.m0 is not None]
     half = [m for m in finite if m <= cfg.M / 2]
     low, high = wilson_interval(len(finite), cfg.trials)
@@ -417,14 +397,12 @@ def exhaustive_ultimate_zero(C: int, depth: int) -> Fraction:
     by full enumeration of all C**depth rows."""
     if C**depth > EXHAUSTIVE_CAP:
         raise ValueError(f"enumeration of {C}**{depth} rows exceeds cap {EXHAUSTIVE_CAP}")
-    if depth == 1:
-        return Fraction(1, C)
     values = batch_ultimate(enumerate_rows(C, depth))
     return Fraction(int((values == 0).sum()), C**depth)
 
 
 def estimate_ultimate_zero(
-    C: int, depth: int, trials: int, seed: int, threads: int = 1, trial_offset: int = 0
+    C: int, depth: int, trials: int, seed: int, trial_offset: int = 0
 ) -> ExperimentRecord:
     """Monte Carlo Pr(ultimate iterate = 0) with the uniform-bound reference
     1/(200*C**2); the exhaustive value is attached whenever C**depth is small."""
@@ -434,15 +412,15 @@ def estimate_ultimate_zero(
         kind="ultimate_zero", M=depth, trials=trials, seed=seed, C=C, trial_offset=trial_offset
     )
 
-    def one_trial(index: int) -> TrialResult:
-        rng = derive_trial_stream(cfg.seed, index)
-        row = sample_uniform(depth, C, rng).tolist()
-        while len(row) > 1:
-            row = [abs(a - b) for a, b in zip(row, row[1:])]
-        return TrialResult(index, derived_seed(cfg.seed, index), ultimate_value=row[0])
-
     start = time.perf_counter()
-    results = _run_trials(cfg, one_trial, threads)
+    rows = np.empty((trials, depth), dtype=np.int64)
+    for k, i in enumerate(cfg.indices):
+        rows[k] = sample_uniform(depth, C, derive_trial_stream(cfg.seed, i))
+    values = batch_ultimate(rows).tolist()
+    results = [
+        TrialResult(i, derived_seed(cfg.seed, i), ultimate_value=v)
+        for i, v in zip(cfg.indices, values)
+    ]
     zeros = sum(1 for t in results if t.ultimate_value == 0)
     low, high = wilson_interval(zeros, trials)
     reference = Fraction(1, 200 * C * C)

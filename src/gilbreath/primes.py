@@ -15,6 +15,8 @@ from typing import Iterator
 
 import numpy as np
 
+from .triangle import stabilization_predicate, step_array
+
 CHECKPOINT_MAGIC = b"GILB"
 CHECKPOINT_VERSION = 1
 
@@ -69,25 +71,10 @@ def primes_array(limit: int, segment_size: int = 1 << 20) -> np.ndarray:
     return np.concatenate(segs) if segs else np.array([], dtype=np.int64)
 
 
-def stabilization_predicate(row: np.ndarray) -> bool:
-    """True iff the row is a leading 1 followed only by 0s and 2s."""
-    if len(row) == 0:
-        raise ValueError("row must have length >= 1")
-    if row[0] != 1:
-        return False
-    tail = row[1:]
-    return bool(((tail == 0) | (tail == 2)).all())
-
-
 def _narrow(row: np.ndarray) -> np.ndarray:
     if row.dtype != np.uint8 and row.size and int(row.max()) < 256:
         return row.astype(np.uint8)
     return row
-
-
-def _abs_diff(row: np.ndarray) -> np.ndarray:
-    a, b = row[:-1], row[1:]
-    return np.maximum(a, b) - np.minimum(a, b)
 
 
 @dataclass(frozen=True)
@@ -179,7 +166,7 @@ def verify_gilbreath(
             return Verdict("verified", n_rows, i, iterated)
         if iterated >= max_full_rows:
             return Verdict("inconclusive", i, None, iterated)
-        row = _narrow(_abs_diff(row))
+        row = _narrow(step_array(row))
         i += 1
         iterated += 1
         if checkpoint_path and checkpoint_every and i % checkpoint_every == 0:
@@ -192,6 +179,6 @@ def naive_first_column(N: int) -> list[int]:
     row = np.diff(primes)
     firsts = [int(row[0])]
     while row.size > 1:
-        row = _abs_diff(row)
+        row = step_array(row)
         firsts.append(int(row[0]))
     return firsts

@@ -3,8 +3,9 @@
 One differencing step maps a row (a_1, ..., a_n) of non-negative integers to
 (|a_1 - a_2|, ..., |a_{n-1} - a_n|).  Repeating the step builds the difference
 triangle; a row of length n collapses to a single value (its "ultimate
-iterate") after n - 1 steps.  Scalar operations work on Python lists, batch
-helpers on 2-D numpy arrays where throughput matters.
+iterate") after n - 1 steps.  Scalar operations work on Python lists; the one
+array kernel, `step_array`, differences 1-D rows and 2-D batches alike, and
+`iterate_until` is the one "difference until stop, exhausted or budget" loop.
 """
 
 from __future__ import annotations
@@ -20,6 +21,14 @@ Row = list[int]
 
 class RowExhaustedError(ValueError):
     """Raised when a differencing step is asked for on a length-1 row."""
+
+
+class Finding(Exception):
+    """A falsified invariant: mathematically significant, never swallowed."""
+
+    def __init__(self, message: str, reproducer: dict):
+        super().__init__(message)
+        self.reproducer = reproducer
 
 
 def validate_row(values: Sequence[int]) -> Row:
@@ -49,25 +58,38 @@ def ultimate_iterate(row: Sequence[int]) -> int:
     return cur[0]
 
 
-def step_array(row: np.ndarray) -> np.ndarray:
-    """Differencing step on a 1-D array, safe for unsigned dtypes."""
-    a, b = row[:-1], row[1:]
-    # max - min instead of abs(diff): no intermediate negatives, so uint8/uint16
-    # rows never wrap.
-    return np.maximum(a, b) - np.minimum(a, b)
+def step_array(rows: np.ndarray) -> np.ndarray:
+    """Differencing step along the last axis, so 1-D rows and 2-D batches alike.
 
-
-def batch_step(rows: np.ndarray) -> np.ndarray:
-    """Differencing step applied to every row of a 2-D signed-int array."""
-    return np.abs(rows[:, 1:] - rows[:, :-1])
+    Unsigned rows use max - min, which has no intermediate negatives, so
+    uint8/uint16 rows never wrap; signed rows use the cheaper abs(b - a).
+    """
+    a, b = rows[..., :-1], rows[..., 1:]
+    if rows.dtype.kind == "u":
+        return np.maximum(a, b) - np.minimum(a, b)
+    return np.abs(b - a)
 
 
 def batch_ultimate(rows: np.ndarray) -> np.ndarray:
     """Ultimate iterate of every row of a 2-D array (rows share one length)."""
     work = np.asarray(rows, dtype=np.int64)
     while work.shape[1] > 1:
-        work = batch_step(work)
+        work = step_array(work)
     return work[:, 0]
+
+
+def stabilization_predicate(row: np.ndarray) -> bool:
+    """True iff the row is a leading 1 followed only by 0s and 2s.
+
+    {0,2} is closed under absolute differences and |1-0| = |1-2| = 1, so every
+    later row of such a row again starts with 1.
+    """
+    if len(row) == 0:
+        raise ValueError("row must have length >= 1")
+    if row[0] != 1:
+        return False
+    tail = row[1:]
+    return bool(((tail == 0) | (tail == 2)).all())
 
 
 def enumerate_rows(alphabet: int, length: int) -> np.ndarray:
@@ -116,13 +138,13 @@ class StopRule:
 
     def matches(self, row: np.ndarray) -> bool:
         if self.kind is StopKind.ALL_LE_ONE:
-            return bool((row <= 1).all())
+            # One max() reduction is cheaper than materializing row <= 1.
+            return int(row.max()) <= 1
         if self.kind is StopKind.ALL_IN_ZERO_D:
             return bool(((row == 0) | (row == self.d)).all())
         if self.kind is StopKind.FIRST_NOT_ONE:
             return bool(row[0] != 1)
-        tail = row[1:]
-        return bool(row[0] == 1 and ((tail == 0) | (tail == 2)).all())
+        return stabilization_predicate(row)
 
 
 @dataclass
@@ -150,13 +172,13 @@ class TriangleHistory:
 @dataclass
 class IterationResult:
     iterations: int
-    row: Row
+    row: Row | np.ndarray  # an array when the input row was one
     reason: str  # "stop" | "exhausted" | "budget"
     history: TriangleHistory | None = None
 
 
 def iterate_until(
-    row: Sequence[int],
+    row: Sequence[int] | np.ndarray,
     stop: StopRule,
     max_iters: int,
     retain: bool = False,
@@ -165,10 +187,18 @@ def iterate_until(
 
     The stop predicate is tested before each step, so a row that already
     matches reports 0 iterations.  `reason` says which condition fired first.
+    A 1-D ndarray is iterated in its own dtype and its final row is returned
+    as an array; any other sequence is validated and returned as a list.
     """
     if max_iters < 0:
         raise ValueError("max_iters must be >= 0")
-    cur = np.asarray(validate_row(row), dtype=np.int64)
+    as_array = isinstance(row, np.ndarray)
+    if as_array:
+        if row.ndim != 1 or row.size == 0 or row.min() < 0:
+            raise ValueError("row must be a non-empty 1-D array of non-negative entries")
+        cur = row
+    else:
+        cur = np.asarray(validate_row(row), dtype=np.int64)
     rows = [cur.tolist()] if retain else None
     iters = 0
     while True:
@@ -186,7 +216,7 @@ def iterate_until(
         if retain:
             rows.append(cur.tolist())
     history = TriangleHistory(rows) if retain else None
-    return IterationResult(iters, cur.tolist(), reason, history)
+    return IterationResult(iters, cur if as_array else cur.tolist(), reason, history)
 
 
 @dataclass(frozen=True)

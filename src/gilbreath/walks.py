@@ -186,10 +186,7 @@ def ultimate_iterate_coloring(
     if n > cap:
         raise ValueError(f"coloring too large: {C}**{k} = {n} exceeds cap {cap}")
     target_set = set(targets)
-    if k == 1:
-        values = enumerate_rows(C, 1)[:, 0]
-    else:
-        values = batch_ultimate(enumerate_rows(C, k))
+    values = batch_ultimate(enumerate_rows(C, k))
     red = frozenset(int(v) for v in range(n) if int(values[v]) in target_set)
     return Coloring(n, red)
 

@@ -1,8 +1,10 @@
+import csv
 import json
 
 import pytest
 
-from gilbreath.cli import main
+from gilbreath import experiments, triangle
+from gilbreath.cli import Finding, main
 
 PRIME_TRIANGLE = """\
 2 3 5 7 11 13 17
@@ -122,9 +124,35 @@ def test_experiment_csv_aggregate(capsys, tmp_path):
                      "--trials", "50", "--format", "csv", "--out", str(out_file))
     assert code == 0
     lines = out_file.read_text().splitlines()
-    assert len(lines) == 2
+    assert len(lines) == 1 + 50 + 1
     assert lines[0].startswith("run_id,kind,seed,params")
-    assert "estimate" in lines[0]
+    rows = list(csv.DictReader(lines))
+    assert [r["record"] for r in rows] == ["trial"] * 50 + ["aggregate"]
+    assert [int(r["trial_index"]) for r in rows[:-1]] == list(range(50))
+    zeros = sum(r["ultimate_value"] == "0" for r in rows[:-1])
+    assert float(rows[-1]["estimate"]) == zeros / 50
+    assert all(r["estimate"] == "" for r in rows[:-1])
+
+
+def test_leading_term_closure_failure_is_a_finding(capsys, monkeypatch):
+    real = experiments.stabilization_predicate
+    last = [False]
+
+    def fails_on_closure(row):
+        # The call after the first stabilized row is the closure spot-check.
+        if last[0]:
+            return False
+        last[0] = real(row)
+        return last[0]
+
+    monkeypatch.setattr(experiments, "stabilization_predicate", fails_on_closure)
+    code, _, err = run(capsys, "experiment", "leading-term", "--M", "200", "--f", "2",
+                       "--trials", "3", "--seed", "4")
+    assert code == 2
+    reproducer = json.loads(err.splitlines()[1])["reproducer"]
+    assert reproducer["seed"] == 4 and reproducer["trial_index"] == 0
+    assert reproducer["row"] >= 2
+    assert Finding is triangle.Finding
 
 
 def test_experiment_missing_args(capsys):

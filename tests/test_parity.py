@@ -39,6 +39,15 @@ def test_mask_symmetry_to_1e3():
         assert bits == rev
 
 
+def test_mask_matches_shift_xor_recurrence_to_3000():
+    # J_i = J_{i-1} xor (J_{i-1} + 1): rows of Pascal's triangle mod 2.
+    bits = 1
+    assert mask(0).bits == bits
+    for i in range(1, 3001):
+        bits ^= bits << 1
+        assert mask(i).bits == bits, i
+
+
 def test_mask_binomial_closed_form_to_1e3():
     for i in range(0, 1001):
         assert mask_via_binomial(i) == mask(i)

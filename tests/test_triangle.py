@@ -13,6 +13,7 @@ from gilbreath.triangle import (
     enumerate_rows,
     iterate_until,
     parity_step,
+    step_array,
     ultimate_iterate,
     validate_row,
 )
@@ -80,6 +81,39 @@ def test_iterate_until_budget():
 def test_iterate_until_exhausted():
     res = iterate_until([5, 0], StopRule.all_le_one(), 10)
     assert (res.row, res.reason) == ([5], "exhausted")
+
+
+@pytest.mark.parametrize("dtype, high", [("uint8", 256), ("uint16", 65536), ("int64", 1 << 40)])
+def test_step_array_matches_diff_step(dtype, high):
+    rng = np.random.default_rng(5)
+    batch = rng.integers(0, high, size=(30, 17)).astype(dtype)
+    stepped = step_array(batch)
+    assert stepped.dtype == batch.dtype and stepped.shape == (30, 16)
+    for row, out in zip(batch, stepped):
+        assert out.tolist() == diff_step(row.tolist())
+        assert step_array(row).tolist() == out.tolist()
+
+
+@pytest.mark.parametrize("stop", [StopRule.all_le_one(), StopRule.all_in_zero_d(2),
+                                  StopRule.first_not_one(), StopRule.stable_tail()])
+@pytest.mark.parametrize("budget", [0, 3, 100])
+def test_iterate_until_list_and_array_agree(stop, budget):
+    rng = np.random.default_rng(6)
+    for _ in range(50):
+        row = rng.integers(0, 4, size=rng.integers(1, 20))
+        from_list = iterate_until(row.tolist(), stop, budget, retain=True)
+        from_array = iterate_until(row, stop, budget, retain=True)
+        assert isinstance(from_array.row, np.ndarray)
+        assert (from_list.iterations, from_list.reason) == (from_array.iterations,
+                                                              from_array.reason)
+        assert from_list.row == from_array.row.tolist()
+        assert from_list.history.rows == from_array.history.rows
+
+
+def test_iterate_until_rejects_bad_array():
+    for bad in (np.array([], dtype=np.int64), np.array([3, -1]), np.zeros((2, 2), np.int64)):
+        with pytest.raises(ValueError):
+            iterate_until(bad, StopRule.all_le_one(), 5)
 
 
 def test_history_from_row_checks():
