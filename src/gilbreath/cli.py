@@ -12,12 +12,12 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
-import io
 import json
 import secrets
 import sys
 import time
 from fractions import Fraction
+from typing import Iterable, Iterator
 
 from . import __version__, experiments, lifting, parity, primes, walks
 from .blocks import BlockSpec, check_block_destruction, detect_event_cascade, longest_block
@@ -68,33 +68,39 @@ def _require(condition: bool, message: str) -> None:
         raise ValueError(message)
 
 
-def _record(run_id: str, kind: str, seed: int, params: dict, result: dict) -> dict:
-    return {"run_id": run_id, "kind": kind, "seed": seed, "params": params, "result": result}
+# A handler's output: (record kind, record params, result dicts).
+Group = tuple[str, dict, Iterable[dict]]
 
 
-def _write_records(lines: list[str], out: str | None) -> None:
+def _stamp(command: str, seed: int, groups: list[Group]) -> Iterator[dict]:
+    """The records of a handler's groups; a group's records share one run_id."""
+    for kind, params, results in groups:
+        head = {"run_id": _run_id(command, params, seed), "kind": kind, "seed": seed,
+                "params": params}
+        for result in results:
+            yield dict(head, result=result)
+
+
+def _write_records(records: Iterable[dict], fmt: str, out: str | None) -> None:
     if out is None:
         return
     with open(out, "w") as fh:
-        fh.write("\n".join(lines) + ("\n" if lines else ""))
-
-
-def _records_to_lines(records: list[dict], fmt: str) -> list[str]:
-    if fmt == "jsonl":
-        return [json.dumps(r, sort_keys=True, separators=(",", ":")) for r in records]
-    # CSV: fixed leading columns, then the union of result keys in sorted
-    # order; nested values are JSON-encoded.
-    keys = sorted({k for r in records for k in r["result"]})
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["run_id", "kind", "seed", "params"] + keys)
-    for r in records:
-        row = [r["run_id"], r["kind"], r["seed"], json.dumps(r["params"], sort_keys=True)]
-        for k in keys:
-            v = r["result"].get(k)
-            row.append(json.dumps(v, sort_keys=True) if isinstance(v, (dict, list)) else v)
-        writer.writerow(row)
-    return buf.getvalue().splitlines()
+        if fmt == "jsonl":
+            for r in records:
+                fh.write(json.dumps(r, sort_keys=True, separators=(",", ":")) + "\n")
+            return
+        # CSV: fixed leading columns, then the union of result keys in sorted
+        # order; nested values are JSON-encoded.
+        records = list(records)
+        keys = sorted({k for r in records for k in r["result"]})
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["run_id", "kind", "seed", "params"] + keys)
+        for r in records:
+            row = [r["run_id"], r["kind"], r["seed"], json.dumps(r["params"], sort_keys=True)]
+            for k in keys:
+                v = r["result"].get(k)
+                row.append(json.dumps(v, sort_keys=True) if isinstance(v, (dict, list)) else v)
+            writer.writerow(row)
 
 
 def _manifest(subcommand: str, params: dict, seed: int, started: float) -> None:
@@ -118,7 +124,7 @@ _STOP_CHOICES = {
 }
 
 
-def _cmd_triangle(args) -> list[dict]:
+def _cmd_triangle(args) -> list[Group]:
     row = _parse_values(args.values)
     if args.stop == "none":
         history = TriangleHistory.from_row(row)
@@ -137,18 +143,17 @@ def _cmd_triangle(args) -> list[dict]:
         print(" ".join(str(v) for v in r))
     params = {"values": row, "stop": args.stop, "max_iters": args.max_iters, "d": args.d}
     result = {"rows": history.rows, "iterations": iterations, "reason": reason}
-    return [_record(_run_id("triangle", params, args.seed), "triangle", args.seed, params, result)]
+    return [("triangle", params, [result])]
 
 
-def _cmd_parity(args) -> list[dict]:
-    records = []
+def _cmd_parity(args) -> list[Group]:
+    groups = []
     if args.depth is not None:
         m = parity.mask(args.depth)
         params = {"depth": args.depth}
         result = {"members": sorted(m.members), "size": m.size}
         print(f"J_{args.depth}: {sorted(m.members)} (size {m.size})")
-        records.append(_record(_run_id("parity", params, args.seed), "parity_mask",
-                               args.seed, params, result))
+        groups.append(("parity_mask", params, [result]))
     if args.prob_even is not None:
         c_lo, c_hi = _parse_int_pair(args.prob_even)
         i_lo, i_hi = _parse_int_pair(args.depths)
@@ -160,18 +165,17 @@ def _cmd_parity(args) -> list[dict]:
                 hi = p if hi is None or p > hi else hi
                 params = {"C": C, "depth": i}
                 result = {"prob_even": f"{p.numerator}/{p.denominator}", "float": float(p)}
-                records.append(_record(_run_id("parity", params, args.seed), "prob_even",
-                                       args.seed, params, result))
+                groups.append(("prob_even", params, [result]))
         print(f"prob_even over C in [{c_lo},{c_hi}], depth in [{i_lo},{i_hi}]: "
               f"min {lo} ({float(lo):.6f}), max {hi} ({float(hi):.6f})")
-    if not records:
+    if not groups:
         raise ValueError("parity: give --depth and/or --prob-even")
-    return records
+    return groups
 
 
-def _cmd_blocks(args) -> list[dict]:
+def _cmd_blocks(args) -> list[Group]:
     row = _parse_values(args.values)
-    records = []
+    groups = []
     if args.allowed is not None:
         spec = BlockSpec(frozenset(_parse_values(args.allowed) if args.allowed else ()),
                          require_witness=args.witness)
@@ -180,8 +184,7 @@ def _cmd_blocks(args) -> list[dict]:
         result = {"max_length": rep.max_length, "start_index": rep.start_index,
                   "witness_present": rep.witness_present}
         print(f"longest block: length {rep.max_length} at position {rep.start_index}")
-        records.append(_record(_run_id("blocks", params, args.seed), "block_report",
-                               args.seed, params, result))
+        groups.append(("block_report", params, [result]))
     if args.destruction:
         verdict = check_block_destruction(row)
         params = {"values": row}
@@ -189,8 +192,7 @@ def _cmd_blocks(args) -> list[dict]:
                   "block_length": verdict.block_length, "observed_max": verdict.observed_max}
         print(f"max-destruction: d={verdict.d} L={verdict.block_length} "
               f"applicable={verdict.applicable} holds={verdict.holds}")
-        records.append(_record(_run_id("blocks", params, args.seed), "block_destruction",
-                               args.seed, params, result))
+        groups.append(("block_destruction", params, [result]))
         if verdict.applicable and not verdict.holds:
             raise Finding("max-destruction bound falsified", {"row": row})
     if args.events is not None:
@@ -204,11 +206,10 @@ def _cmd_blocks(args) -> list[dict]:
         for e in reports:
             print(f"E_{e.j}: iteration {e.iteration}, {{0,{e.allowed[1]}}}-block of length "
                   f">= {e.required_length}: {e.status}")
-        records.append(_record(_run_id("blocks", params, args.seed), "event_cascade",
-                               args.seed, params, result))
-    if not records:
+        groups.append(("event_cascade", params, [result]))
+    if not groups:
         raise ValueError("blocks: give --allowed, --destruction, and/or --events")
-    return records
+    return groups
 
 
 def _build_graph(args, rng_seed: int) -> tuple[walks.RegularDigraph, walks.Coloring, dict]:
@@ -241,7 +242,7 @@ def _build_graph(args, rng_seed: int) -> tuple[walks.RegularDigraph, walks.Color
     raise ValueError("bootstrap: give one of --graph/--cycle/--debruijn/--random")
 
 
-def _cmd_bootstrap(args) -> list[dict]:
+def _cmd_bootstrap(args) -> list[Group]:
     g, col, source = _build_graph(args, args.seed)
     L = args.length
     counter_prob = walks.all_red_probability(g, col, L).value
@@ -264,15 +265,13 @@ def _cmd_bootstrap(args) -> list[dict]:
               f">= c^2/10 = {verdict.threshold}: {verdict.holds}")
     else:
         print(f"hypothesis unmet: P(L) < c = {c}")
-    records = [_record(_run_id("bootstrap", params, args.seed), "bootstrap",
-                       args.seed, params, result)]
     if verdict.hypothesis_met and not verdict.holds:
         raise Finding("bootstrap conclusion falsified",
                       {"graph": walks.format_walk_instance(g, col), "L": L, "c": str(c)})
-    return records
+    return [("bootstrap", params, [result])]
 
 
-def _cmd_experiment(args) -> list[dict]:
+def _cmd_experiment(args) -> list[Group]:
     if args.experiment_kind == "collapse":
         _require(args.M is not None and args.C is not None, "collapse needs --M and --C")
         cfg = experiments.ExperimentConfig(
@@ -301,16 +300,10 @@ def _cmd_experiment(args) -> list[dict]:
             args.C, args.depth, args.trials, args.seed, trial_offset=args.trial_offset)
     print(f"aggregate: {json.dumps({'record': 'aggregate', **record.aggregate}, sort_keys=True)}")
     print(f"wall time: {record.wall_time:.3f}s", file=sys.stderr)
-    if args.format == "csv":
-        lines = _records_to_lines(list(record.records()), "csv")
-    else:
-        lines = record.jsonl_lines()
-    _write_records(lines, args.out)
-    # Records were already serialized by the experiment itself.
-    return []
+    return [(record.config.kind, record.config.params(), record.records())]
 
 
-def _cmd_primes(args) -> list[dict]:
+def _cmd_primes(args) -> list[Group]:
     verdict = primes.verify_gilbreath(
         args.limit,
         max_full_rows=args.max_full_rows,
@@ -327,14 +320,13 @@ def _cmd_primes(args) -> list[dict]:
     result = {"status": verdict.status, "verified_rows": verdict.verified_rows,
               "stabilization_row": verdict.stabilization_row,
               "rows_iterated": verdict.rows_iterated}
-    records = [_record(_run_id("primes", params, args.seed), "primes", args.seed, params, result)]
     if verdict.status == "violated":
         raise Finding("leading entry != 1 in the prime difference triangle",
                       {"limit": args.limit, "row": verdict.violation_row})
-    return records
+    return [("primes", params, [result])]
 
 
-def _cmd_exotic(args) -> list[dict]:
+def _cmd_exotic(args) -> list[Group]:
     import random as _random
 
     if args.verify is not None:
@@ -345,8 +337,7 @@ def _cmd_exotic(args) -> list[dict]:
               f"width {len(cert.initial)}, pure from row {cert.first_pure_row}")
         params = {"verify": args.verify}
         result = {"valid": ok, "d": cert.d, "first_pure_row": cert.first_pure_row}
-        return [_record(_run_id("exotic", params, args.seed), "exotic_verify",
-                        args.seed, params, result)]
+        return [("exotic_verify", params, [result])]
     _require(args.seed_row is not None and args.cap is not None and args.width is not None,
              "exotic search needs --seed-row, --cap, and --width")
     seed_row = _parse_values(args.seed_row)
@@ -360,8 +351,7 @@ def _cmd_exotic(args) -> list[dict]:
         print(f"found width-{len(cert.initial)} initial row, {{0,{cert.d}}}-pure from row "
               f"{cert.first_pure_row}: {' '.join(str(v) for v in cert.initial)}")
         result = {"found": True, **json.loads(cert.to_json())}
-    return [_record(_run_id("exotic", params, args.seed), "exotic_search",
-                    args.seed, params, result)]
+    return [("exotic_search", params, [result])]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -467,9 +457,8 @@ def main(argv: list[str] | None = None) -> int:
     started = time.time()
     try:
         args.seed = _resolve_seed(args.seed)
-        records = _HANDLERS[args.command](args)
-        if records:
-            _write_records(_records_to_lines(records, args.format), args.out)
+        groups = _HANDLERS[args.command](args)
+        _write_records(_stamp(args.command, args.seed, groups), args.format, args.out)
     except Finding as finding:
         print(f"FINDING: {finding}", file=sys.stderr)
         print(json.dumps({"finding": str(finding), "reproducer": finding.reproducer},

@@ -8,8 +8,6 @@ serialized records carry no non-deterministic fields.  Aggregates use Wilson
 
 from __future__ import annotations
 
-import json
-import hashlib
 import math
 import time
 from dataclasses import dataclass
@@ -31,6 +29,10 @@ from .triangle import (
 KINDS = ("uniform_collapse", "gap_leading_term", "increasing_alphabet", "ultimate_zero")
 
 EXHAUSTIVE_CAP = 3**12
+
+# Cells of the trials x depth array that `estimate_ultimate_zero` fills and
+# reduces at a time; bounds its memory whatever the trial count.
+BLOCK_CELLS = 2**20
 
 
 @dataclass(frozen=True)
@@ -148,11 +150,6 @@ class ExperimentConfig:
             "trial_offset": self.trial_offset,
         }
 
-    def run_id(self) -> str:
-        payload = dict(self.params(), seed=self.seed)
-        blob = json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
-        return hashlib.sha256(blob).hexdigest()[:16]
-
 
 @dataclass
 class TrialResult:
@@ -183,22 +180,13 @@ class ExperimentRecord:
     wall_time: float  # kept in memory only; never serialized, for reproducibility
 
     def records(self) -> Iterator[dict]:
-        """One record per trial, in trial order, then the aggregate record.
+        """The result of each trial, in trial order, then the aggregate.
 
         A generator, so that writing JSONL never holds every record at once.
         """
-        head = {
-            "run_id": self.config.run_id(),
-            "kind": self.config.kind,
-            "seed": self.config.seed,
-            "params": self.config.params(),
-        }
         for tr in self.trials:
-            yield dict(head, result={"record": "trial", **tr.metrics()})
-        yield dict(head, result={"record": "aggregate", **self.aggregate})
-
-    def jsonl_lines(self) -> list[str]:
-        return [json.dumps(r, sort_keys=True, separators=(",", ":")) for r in self.records()]
+            yield {"record": "trial", **tr.metrics()}
+        yield {"record": "aggregate", **self.aggregate}
 
 
 def derive_trial_stream(master_seed: int, trial_index: int) -> np.random.Generator:
@@ -413,10 +401,14 @@ def estimate_ultimate_zero(
     )
 
     start = time.perf_counter()
-    rows = np.empty((trials, depth), dtype=np.int64)
-    for k, i in enumerate(cfg.indices):
-        rows[k] = sample_uniform(depth, C, derive_trial_stream(cfg.seed, i))
-    values = batch_ultimate(rows).tolist()
+    per_block = max(1, BLOCK_CELLS // depth)
+    values: list[int] = []
+    for lo in range(0, trials, per_block):
+        block = cfg.indices[lo:lo + per_block]
+        rows = np.empty((len(block), depth), dtype=np.int64)
+        for k, i in enumerate(block):
+            rows[k] = sample_uniform(depth, C, derive_trial_stream(cfg.seed, i))
+        values += batch_ultimate(rows).tolist()
     results = [
         TrialResult(i, derived_seed(cfg.seed, i), ultimate_value=v)
         for i, v in zip(cfg.indices, values)

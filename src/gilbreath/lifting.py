@@ -22,27 +22,31 @@ def preimages(row: Sequence[int], cap: int) -> Iterator[Row]:
     """All rows r' with entries in [0, cap] and diff_step(r') = row.
 
     Deterministic order: first entry ascending, then the +difference branch
-    before the -difference branch at each position.
+    before the -difference branch at each position.  The DFS keeps an
+    explicit stack, so long rows need no recursion.
     """
     if cap < 0:
         raise ValueError("cap must be >= 0")
     target = validate_row(row)
 
-    def extend(prefix: list[int], j: int) -> Iterator[Row]:
-        if j == len(target):
-            yield list(prefix)
-            return
-        base = prefix[-1]
-        d = target[j]
-        candidates = (base + d,) if d == 0 else (base + d, base - d)
-        for nxt in candidates:
-            if 0 <= nxt <= cap:
-                prefix.append(nxt)
-                yield from extend(prefix, j + 1)
-                prefix.pop()
+    def candidates(base: int, d: int) -> Iterator[int]:
+        return iter([v for v in ((base + d,) if d == 0 else (base + d, base - d))
+                     if 0 <= v <= cap])
 
     for start in range(cap + 1):
-        yield from extend([start], 0)
+        # stack[j] yields the choices for prefix[j + 1], given prefix[j].
+        prefix = [start]
+        stack = [candidates(start, target[0])]
+        while stack:
+            nxt = next(stack[-1], None)
+            if nxt is None:
+                stack.pop()
+                prefix.pop()
+            elif len(prefix) == len(target):
+                yield prefix + [nxt]
+            else:
+                prefix.append(nxt)
+                stack.append(candidates(nxt, target[len(prefix) - 1]))
 
 
 @dataclass(frozen=True)
@@ -79,17 +83,31 @@ class ExoticCertificate:
 
     @classmethod
     def from_json(cls, text: str) -> "ExoticCertificate":
+        """Parse a certificate; ValueError on a missing field or on a
+        non-integer or negative entry."""
         obj = json.loads(text)
-        return cls(obj["d"], tuple(obj["initial"]), obj["depth_checked"], obj["first_pure_row"])
+        fields = ("d", "initial", "depth_checked", "first_pure_row")
+        if not isinstance(obj, dict) or any(k not in obj for k in fields):
+            raise ValueError(f"certificate must be a JSON object with {', '.join(fields)}")
+        d, initial, depth_checked, first_pure_row = (obj[k] for k in fields)
+        scalars = [d, depth_checked, first_pure_row]
+        if not isinstance(initial, list) or any(type(v) is not int for v in initial + scalars):
+            raise ValueError("certificate entries must be integers")
+        if min(scalars) < 0:
+            raise ValueError("certificate entries must be non-negative")
+        return cls(d, tuple(validate_row(initial)), depth_checked, first_pure_row)
 
 
-def verify_certificate(cert: ExoticCertificate) -> bool:
-    """Iterate the certificate's initial row all the way down and re-check that
-    some row is {0,d}-only and every later row stays {0,d}-only."""
-    allowed = {0, cert.d}
-    row = list(cert.initial)
-    depth = 0
+def _first_pure_row(initial: Sequence[int], d: int) -> int | None:
+    """Depth of the first {0,d}-only row of the triangle under `initial`.
+
+    None when no row is {0,d}-only, or when a later row leaves {0,d} again,
+    which would contradict |a-b| in {0,d} for a,b in {0,d}.
+    """
+    allowed = {0, d}
+    row = list(initial)
     first_pure = 0 if all(v in allowed for v in row) else None
+    depth = 0
     while len(row) > 1:
         row = diff_step(row)
         depth += 1
@@ -97,10 +115,17 @@ def verify_certificate(cert: ExoticCertificate) -> bool:
         if pure and first_pure is None:
             first_pure = depth
         if not pure and first_pure is not None:
-            return False  # closure broken: would contradict |a-b| in {0,d} for a,b in {0,d}
-    if first_pure is None or depth < cert.depth_checked:
+            return None
+    return first_pure
+
+
+def verify_certificate(cert: ExoticCertificate) -> bool:
+    """Iterate the certificate's initial row all the way down and re-check that
+    some row is {0,d}-only and every later row stays {0,d}-only."""
+    if len(cert.initial) - 1 < cert.depth_checked:
         return False
-    return first_pure == cert.first_pure_row
+    first_pure = _first_pure_row(cert.initial, cert.d)
+    return first_pure is not None and first_pure == cert.first_pure_row
 
 
 def lift_search(
@@ -113,7 +138,8 @@ def lift_search(
     until the row reaches width_goal or `budget` nodes have been expanded.
 
     Child order is shuffled by `rng`; results are deterministic for a fixed
-    seed and single worker.  Returns None when the budget is exhausted.
+    seed.  The DFS keeps an explicit stack of shuffled levels, so deep lifts
+    need no recursion.  Returns None when the budget is exhausted.
     """
     seed = validate_row(seed_row)
     d = max(seed)
@@ -121,35 +147,26 @@ def lift_search(
         raise ValueError("seed row must be {0,d}-valued")
 
     nodes = 0
-
-    def dfs(row: Row) -> Row | None:
-        nonlocal nodes
-        if len(row) >= constraint.width_goal:
-            return row
-        if nodes >= budget:
-            return None
-        nodes += 1
-        level = list(preimages(row, constraint.alphabet_max))
-        rng.shuffle(level)
-        for parent in level:
-            found = dfs(parent)
-            if found is not None:
-                return found
-        return None
-
-    top = dfs(seed)
+    stack: list[Iterator[Row]] = []
+    top: Row | None = seed
+    # Expand `top` while the budget lasts, then move on to the next row in DFS
+    # order; the first row that reaches width_goal ends the search.
+    while top is not None and len(top) < constraint.width_goal:
+        if nodes < budget:
+            nodes += 1
+            level = list(preimages(top, constraint.alphabet_max))
+            rng.shuffle(level)
+            stack.append(iter(level))
+        top = None
+        while stack and top is None:
+            top = next(stack[-1], None)
+            if top is None:
+                stack.pop()
     if top is None:
         return None
     # Re-derive the pure depth by explicit iteration rather than trusting the
-    # construction.
-    depth_to_seed = len(top) - len(seed)
-    row = list(top)
-    first_pure = 0 if all(v in (0, d) for v in row) else None
-    for depth in range(1, len(top)):
-        row = diff_step(row)
-        if first_pure is None and all(v in (0, d) for v in row):
-            first_pure = depth
-    if first_pure is None or first_pure > depth_to_seed:
+    # construction; the same scan checks the closure below it.
+    first_pure = _first_pure_row(top, d)
+    if first_pure is None or first_pure > len(top) - len(seed):
         return None
-    cert = ExoticCertificate(d, tuple(top), len(top) - 1, first_pure)
-    return cert if verify_certificate(cert) else None
+    return ExoticCertificate(d, tuple(top), len(top) - 1, first_pure)

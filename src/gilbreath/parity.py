@@ -14,6 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+from .triangle import ParityRow
+
 
 @dataclass(frozen=True)
 class ParityMask:
@@ -70,13 +72,9 @@ def mask_via_binomial(i: int) -> ParityMask:
 
 def parity_of_ultimate(row: Sequence[int]) -> int:
     """Parity of the ultimate iterate, from initial parities alone."""
-    n = len(row)
-    if n == 0:
+    if len(row) == 0:
         raise ValueError("row must have length >= 1")
-    packed = 0
-    for j, v in enumerate(row):
-        packed |= (int(v) & 1) << j
-    return (mask(n - 1).bits & packed).bit_count() & 1
+    return (mask(len(row) - 1).bits & ParityRow.from_row(row).bits).bit_count() & 1
 
 
 def prob_even(C: int, i: int) -> Fraction:
@@ -84,12 +82,13 @@ def prob_even(C: int, i: int) -> Fraction:
 
     The ultimate parity is the XOR of |J_i| independent bits, each odd with
     probability q = floor(C/2)/C, so the even-probability is
-    (1 + (1 - 2q)**|J_i|) / 2.
+    (1 + (1 - 2q)**|J_i|) / 2.  By Glaisher's theorem |J_i| = 2**popcount(i),
+    so no mask is built.
     """
     if C < 2:
         raise ValueError("alphabet size must be >= 2")
     if i < 1:
         raise ValueError("depth must be >= 1")
-    m = mask(i).size
+    m = 1 << i.bit_count()
     bias = Fraction(C - 2 * (C // 2), C)  # 1 - 2q
     return (1 + bias**m) / 2

@@ -4,7 +4,7 @@ import json
 import pytest
 
 from gilbreath import experiments, triangle
-from gilbreath.cli import Finding, main
+from gilbreath.cli import Finding, _run_id, main
 
 PRIME_TRIANGLE = """\
 2 3 5 7 11 13 17
@@ -109,6 +109,44 @@ def test_experiment_collapse_record_count(capsys, tmp_path):
     assert all(r["seed"] == 42 for r in records)
 
 
+def test_experiment_jsonl_shape(capsys, tmp_path):
+    out_file = tmp_path / "run.jsonl"
+    code, _, _ = run(capsys, "experiment", "collapse", "--M", "50", "--C", "3",
+                     "--trials", "4", "--seed", "0", "--out", str(out_file))
+    assert code == 0
+    objs = [json.loads(ln) for ln in out_file.read_text().splitlines()]
+    assert len(objs) == 5
+    assert [o["result"]["record"] for o in objs] == ["trial"] * 4 + ["aggregate"]
+    for o in objs:
+        assert set(o) == {"run_id", "kind", "seed", "params", "result"}
+    # One run_id per experiment run, from the same scheme as every subcommand.
+    assert {o["run_id"] for o in objs} == {_run_id("experiment", objs[0]["params"], 0)}
+
+
+def _csv_cell(value):
+    if isinstance(value, (dict, list)):
+        return json.dumps(value, sort_keys=True)
+    return "" if value is None else str(value)
+
+
+@pytest.mark.parametrize("argv", [
+    ("parity", "--depth", "4", "--prob-even", "2,3", "--depths", "1,4"),
+    ("experiment", "ultimate-zero", "--C", "3", "--depth", "5", "--trials", "30", "--seed", "2"),
+], ids=["parity", "experiment"])
+def test_csv_and_jsonl_carry_same_records(capsys, tmp_path, argv):
+    jsonl, csv_file = tmp_path / "r.jsonl", tmp_path / "r.csv"
+    assert run(capsys, *argv, "--out", str(jsonl))[0] == 0
+    assert run(capsys, *argv, "--format", "csv", "--out", str(csv_file))[0] == 0
+    records = [json.loads(ln) for ln in jsonl.read_text().splitlines()]
+    rows = list(csv.DictReader(csv_file.read_text().splitlines()))
+    assert len(rows) == len(records) > 1
+    keys = {k for r in records for k in r["result"]}
+    for r, row in zip(records, rows):
+        assert (row["run_id"], row["kind"], row["seed"]) == (r["run_id"], r["kind"], str(r["seed"]))
+        assert json.loads(row["params"]) == r["params"]
+        assert {k: row[k] for k in keys} == {k: _csv_cell(r["result"].get(k)) for k in keys}
+
+
 def test_experiment_reproducible_across_threads(capsys, tmp_path):
     args = ("experiment", "collapse", "--M", "300", "--C", "3", "--trials", "16",
             "--seed", "7")
@@ -177,6 +215,24 @@ def test_exotic_search_and_verify(capsys, tmp_path):
     cert_path.write_text(json.dumps(record["result"]))
     code, out, _ = run(capsys, "exotic", "--verify", str(cert_path))
     assert code == 0 and "certificate valid" in out
+
+
+@pytest.mark.parametrize("cert", [
+    {},
+    {"d": 3, "initial": [0, "x"], "depth_checked": 1, "first_pure_row": 0},
+], ids=["missing-fields", "non-integer-entry"])
+def test_exotic_verify_malformed_certificate_exits_1(capsys, tmp_path, cert):
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(cert))
+    code, _, err = run(capsys, "exotic", "--verify", str(path))
+    assert code == 1 and "error:" in err
+
+
+def test_exotic_long_seed_row_needs_no_recursion(capsys):
+    seed_row = ",".join(["0"] * 1200 + ["3"])
+    code, out, _ = run(capsys, "exotic", "--seed-row", seed_row, "--cap", "3",
+                       "--width", "1300", "--budget", "10")
+    assert code == 0 and "none found within budget" in out
 
 
 def test_manifest_on_stderr(capsys):

@@ -1,9 +1,9 @@
-import json
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from gilbreath import experiments
 from gilbreath.experiments import (
     AliasTable,
     ExperimentConfig,
@@ -19,6 +19,7 @@ from gilbreath.experiments import (
     sample_uniform,
     wilson_interval,
 )
+from gilbreath.triangle import batch_ultimate
 
 
 def test_schedule_parse_and_values():
@@ -170,24 +171,28 @@ def test_ultimate_zero_matches_exhaustive_3se():
 
 
 def test_records_are_schedule_independent():
-    def trial_results(offset, trials):
+    def trial_records(offset, trials):
         cfg = ExperimentConfig(kind="uniform_collapse", M=300, trials=trials, seed=9, C=3,
                                trial_offset=offset)
-        return [r["result"] for r in run_collapse_experiment(cfg).records()][:-1]
+        return list(run_collapse_experiment(cfg).records())[:-1]
 
-    assert trial_results(0, 20) + trial_results(20, 20) == trial_results(0, 40)
+    assert trial_records(0, 20) + trial_records(20, 20) == trial_records(0, 40)
 
 
-def test_jsonl_lines_shape():
-    cfg = ExperimentConfig(kind="uniform_collapse", M=50, trials=4, seed=0, C=3)
-    rec = run_collapse_experiment(cfg)
-    lines = rec.jsonl_lines()
-    assert len(lines) == 5
-    objs = [json.loads(ln) for ln in lines]
-    assert [o["result"]["record"] for o in objs] == ["trial"] * 4 + ["aggregate"]
-    assert len({o["run_id"] for o in objs}) == 1
-    for o in objs:
-        assert set(o) == {"run_id", "kind", "seed", "params", "result"}
+def test_ultimate_zero_blocks_match_one_block(monkeypatch):
+    one_block = list(estimate_ultimate_zero(3, 10, trials=50, seed=5, trial_offset=7).records())
+    batches = []
+
+    def spy(rows):
+        batches.append(len(rows))
+        return batch_ultimate(rows)
+
+    monkeypatch.setattr(experiments, "BLOCK_CELLS", 64)  # 6 rows of depth 10
+    monkeypatch.setattr(experiments, "batch_ultimate", spy)
+    blocked = list(estimate_ultimate_zero(3, 10, trials=50, seed=5, trial_offset=7).records())
+    # Nine trial blocks, then the exhaustive 3**10 enumeration.
+    assert batches[:-1] == [6] * 8 + [2]
+    assert blocked == one_block
 
 
 def test_trial_offset_gives_disjoint_batches():

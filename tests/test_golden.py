@@ -1,4 +1,7 @@
-"""Golden --out bytes: refactors of the kernels must leave every record byte-identical."""
+"""Golden --out bytes: refactors must leave every record byte-identical.
+
+Experiment records carry the CLI run_id, sha256 of command, params and seed.
+"""
 
 import hashlib
 
@@ -8,19 +11,22 @@ from gilbreath.cli import main
 
 GOLDEN = [
     (("experiment", "collapse", "--M", "2000", "--C", "3", "--trials", "50", "--seed", "3"),
-     "e648dc6c8f0eabc767adf9652bbff952fb21360e62489346d9b8a1fdb9ea5f16"),
+     "469dedc898ebab0bca3d62c7ab653e97b4c7e09fc03154d52257067f32e0bc2e"),
     (("experiment", "ultimate-zero", "--C", "3", "--depth", "10", "--trials", "2000",
       "--seed", "3"),
-     "9d107a3af752d2621fdf856730b4035bb857ebac8374665590128366c337f1ef"),
+     "7aa0ee13c62ff447018bd2b37e60133e29cbb391f9b3170b2b1104317a7a1a45"),
     (("experiment", "leading-term", "--M", "500", "--f", "2", "--trials", "20", "--seed", "3"),
-     "256fc657c6e73470eef7c98a612d0558b65c30deb18f3eb740b5782c38197064"),
+     "8c63aff2cb12f09a07d0105b90437c2e34ae056069d9be69e056639cf617dca7"),
     (("experiment", "increasing-alphabet", "--M", "1000", "--f", "1:2,500:3", "--trials", "20",
       "--seed", "3"),
-     "329e922107798534e36a09d384da26389b005a27ec70744f010f043e679416a0"),
+     "0fca8a383ecc40cbc8794de6f86825535d3a680faec2f451ab3b39fd714bea46"),
     (("primes", "--limit", "100000"),
      "919dd6eacec0145622827cbe19acb59143247c2d4178045f44debfb443c39b14"),
     (("parity", "--depth", "100", "--prob-even", "2,6"),
      "98cfd3f9a69e25e1a0e9013af0859cde9c5aaa09d0715301c719f382a72254e0"),
+    # Pins the lift search order: preimage order and the rng.shuffle sequence.
+    (("exotic", "--seed-row", "0,0,0,3,3,0,0,0,0,0,0,0", "--cap", "6", "--width", "16"),
+     "9b8ffb4613fc2c5aa23b8de8c2fb9f383db78451b014e9e152c1ee438a24947f"),
 ]
 
 

@@ -1,3 +1,4 @@
+import json
 import random
 from itertools import product
 
@@ -110,3 +111,22 @@ def test_certificate_json_round_trip():
     cert = ExoticCertificate(d=3, initial=tuple(EXOTIC_TOP), depth_checked=19,
                              first_pure_row=8)
     assert ExoticCertificate.from_json(cert.to_json()) == cert
+
+
+@pytest.mark.parametrize("obj, message", [
+    ({"initial": [0, 3], "depth_checked": 1, "first_pure_row": 0}, "JSON object with d"),
+    ({"d": 3, "initial": [0, "x"], "depth_checked": 1, "first_pure_row": 0}, "integers"),
+    ({"d": 3, "initial": [0, 1.5], "depth_checked": 1, "first_pure_row": 0}, "integers"),
+    ({"d": 3, "initial": [0, -3], "depth_checked": 1, "first_pure_row": 0}, "non-negative"),
+    ({"d": -3, "initial": [0, 3], "depth_checked": 1, "first_pure_row": 0}, "non-negative"),
+    ([0, 3], "JSON object with d"),
+])
+def test_certificate_from_json_rejects_malformed(obj, message):
+    with pytest.raises(ValueError, match=message):
+        ExoticCertificate.from_json(json.dumps(obj))
+
+
+def test_preimages_of_a_long_row():
+    # One stack frame per entry would overflow the interpreter stack here.
+    row = [0] * 3000 + [3]
+    assert [p[0] for p in preimages(row, 3)] == [0, 3]

@@ -46,6 +46,8 @@ def test_mask_matches_shift_xor_recurrence_to_3000():
     for i in range(1, 3001):
         bits ^= bits << 1
         assert mask(i).bits == bits, i
+        # Glaisher: |J_i| = 2**popcount(i), which prob_even relies on.
+        assert mask(i).size == 2 ** i.bit_count(), i
 
 
 def test_mask_binomial_closed_form_to_1e3():
