@@ -32,12 +32,9 @@ from .walks import (
 )
 from .experiments import (
     ExperimentConfig,
-    ExperimentRecord,
     Schedule,
     derive_trial_stream,
-    estimate_ultimate_zero,
-    run_collapse_experiment,
-    run_leading_term_experiment,
+    run_experiment,
     sample_gap_sequence,
     sample_uniform,
 )

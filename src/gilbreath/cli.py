@@ -10,11 +10,15 @@ falsified invariant (dumped as a minimal reproducer).
 from __future__ import annotations
 
 import argparse
+import collections
+import contextlib
 import csv
 import hashlib
 import json
+import os
 import secrets
 import sys
+import tempfile
 import time
 from fractions import Fraction
 from typing import Iterable, Iterator
@@ -43,10 +47,6 @@ def _parse_values(text: str) -> list[int]:
 def _parse_int_pair(text: str) -> tuple[int, int]:
     a, b = (int(tok) for tok in text.replace(",", " ").split())
     return a, b
-
-
-def _parse_fraction(text: str) -> Fraction:
-    return Fraction(text)
 
 
 def _resolve_seed(raw: str) -> int:
@@ -81,26 +81,52 @@ def _stamp(command: str, seed: int, groups: list[Group]) -> Iterator[dict]:
             yield dict(head, result=result)
 
 
-def _write_records(records: Iterable[dict], fmt: str, out: str | None) -> None:
-    if out is None:
-        return
-    with open(out, "w") as fh:
-        if fmt == "jsonl":
-            for r in records:
-                fh.write(json.dumps(r, sort_keys=True, separators=(",", ":")) + "\n")
-            return
-        # CSV: fixed leading columns, then the union of result keys in sorted
-        # order; nested values are JSON-encoded.
-        records = list(records)
-        keys = sorted({k for r in records for k in r["result"]})
+def _write_jsonl(records: Iterable[dict], fh) -> set[str]:
+    """Write one JSON line per record; return the union of the result keys."""
+    keys: set[str] = set()
+    for r in records:
+        keys.update(r["result"])
+        fh.write(json.dumps(r, sort_keys=True, separators=(",", ":")) + "\n")
+    return keys
+
+
+def _write_csv(records: Iterable[dict], fh) -> None:
+    # Fixed leading columns, then the union of result keys in sorted order;
+    # nested values are JSON-encoded.  The header needs every key, so the
+    # records are spooled as JSONL to an anonymous file, not held in memory.
+    with tempfile.TemporaryFile("w+") as spool:
+        keys = sorted(_write_jsonl(records, spool))
+        spool.seek(0)
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["run_id", "kind", "seed", "params"] + keys)
-        for r in records:
+        for r in map(json.loads, spool):
             row = [r["run_id"], r["kind"], r["seed"], json.dumps(r["params"], sort_keys=True)]
             for k in keys:
                 v = r["result"].get(k)
                 row.append(json.dumps(v, sort_keys=True) if isinstance(v, (dict, list)) else v)
             writer.writerow(row)
+
+
+def _write_records(records: Iterable[dict], fmt: str, out: str | None) -> None:
+    """Drain the records into `out`, if given.  A regular file appears only once
+    every record is written, by a rename from a temporary file beside it; an
+    existing non-regular file, such as /dev/null, is written directly."""
+    write = _write_jsonl if fmt == "jsonl" else _write_csv
+    if out is None:
+        collections.deque(records, maxlen=0)
+    elif os.path.exists(out) and not os.path.isfile(out):
+        with open(out, "w") as fh:
+            write(records, fh)
+    else:
+        target = os.path.realpath(out)
+        tmp = f"{target}.{os.getpid()}.tmp"
+        try:
+            with open(tmp, "w") as fh:
+                write(records, fh)
+            os.replace(tmp, target)
+        finally:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(tmp)
 
 
 def _manifest(subcommand: str, params: dict, seed: int, started: float) -> None:
@@ -271,36 +297,39 @@ def _cmd_bootstrap(args) -> list[Group]:
     return [("bootstrap", params, [result])]
 
 
+# Experiment subcommand: (config kind, options it needs).
+_EXPERIMENTS = {
+    "collapse": ("uniform_collapse", ("M", "C")),
+    "increasing-alphabet": ("increasing_alphabet", ("M", "f")),
+    "leading-term": ("gap_leading_term", ("M", "f")),
+    "ultimate-zero": ("ultimate_zero", ("C", "depth")),
+}
+
+
 def _cmd_experiment(args) -> list[Group]:
-    if args.experiment_kind == "collapse":
-        _require(args.M is not None and args.C is not None, "collapse needs --M and --C")
-        cfg = experiments.ExperimentConfig(
-            kind="uniform_collapse", M=args.M, trials=args.trials, seed=args.seed,
-            C=args.C, T=args.T, weights=tuple(args.weights) if args.weights else None,
-            trial_offset=args.trial_offset)
-        record = experiments.run_collapse_experiment(cfg)
-    elif args.experiment_kind == "increasing-alphabet":
-        _require(args.M is not None and args.f is not None,
-                 "increasing-alphabet needs --M and --f")
-        cfg = experiments.ExperimentConfig(
-            kind="increasing_alphabet", M=args.M, trials=args.trials, seed=args.seed,
-            schedule=experiments.Schedule.parse(args.f), T=args.T,
-            trial_offset=args.trial_offset)
-        record = experiments.run_collapse_experiment(cfg)
-    elif args.experiment_kind == "leading-term":
-        _require(args.M is not None and args.f is not None, "leading-term needs --M and --f")
-        cfg = experiments.ExperimentConfig(
-            kind="gap_leading_term", M=args.M, trials=args.trials, seed=args.seed,
-            schedule=experiments.Schedule.parse(args.f), trial_offset=args.trial_offset)
-        record = experiments.run_leading_term_experiment(cfg)
-    else:  # ultimate-zero
-        _require(args.C is not None and args.depth is not None,
-                 "ultimate-zero needs --C and --depth")
-        record = experiments.estimate_ultimate_zero(
-            args.C, args.depth, args.trials, args.seed, trial_offset=args.trial_offset)
-    print(f"aggregate: {json.dumps({'record': 'aggregate', **record.aggregate}, sort_keys=True)}")
-    print(f"wall time: {record.wall_time:.3f}s", file=sys.stderr)
-    return [(record.config.kind, record.config.params(), record.records())]
+    name = args.experiment_kind
+    kind, needs = _EXPERIMENTS[name]
+    _require(all(getattr(args, opt) is not None for opt in needs),
+             f"{name} needs " + " and ".join(f"--{opt}" for opt in needs))
+    # Each kind takes only its own options, so that the others, if given,
+    # leave params and run_id alone.
+    cfg = experiments.ExperimentConfig(
+        kind=kind, M=args.depth if kind == "ultimate_zero" else args.M, trials=args.trials,
+        seed=args.seed, C=args.C if "C" in needs else None,
+        schedule=experiments.Schedule.parse(args.f) if "f" in needs else None,
+        T=args.T if kind in ("uniform_collapse", "increasing_alphabet") else None,
+        weights=tuple(args.weights) if args.weights and kind == "uniform_collapse" else None,
+        trial_offset=args.trial_offset)
+
+    def results() -> Iterator[dict]:
+        start = time.perf_counter()
+        for result in experiments.run_experiment(cfg):
+            yield result
+        # The last result is the aggregate; main has drained the stream.
+        print(f"aggregate: {json.dumps(result, sort_keys=True)}")
+        print(f"wall time: {time.perf_counter() - start:.3f}s", file=sys.stderr)
+
+    return [(kind, cfg.params(), results())]
 
 
 def _cmd_primes(args) -> list[Group]:
@@ -402,7 +431,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--random", dest="random_graph", help="'n,d' seeded random regular digraph")
     p.add_argument("--red-fraction", type=float, default=0.5)
     p.add_argument("--length", type=int, required=True, help="walk length L")
-    p.add_argument("--c", type=_parse_fraction,
+    p.add_argument("--c", type=Fraction,
                    help="hypothesis threshold (fraction, default: exact P at L)")
     common(p)
 

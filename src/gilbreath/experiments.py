@@ -9,7 +9,6 @@ serialized records carry no non-deterministic fields.  Aggregates use Wilson
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
@@ -30,7 +29,7 @@ KINDS = ("uniform_collapse", "gap_leading_term", "increasing_alphabet", "ultimat
 
 EXHAUSTIVE_CAP = 3**12
 
-# Cells of the trials x depth array that `estimate_ultimate_zero` fills and
+# Cells of the trials x depth array that an ultimate-zero run fills and
 # reduces at a time; bounds its memory whatever the trial count.
 BLOCK_CELLS = 2**20
 
@@ -85,10 +84,6 @@ class Schedule:
             raise ValueError("schedule queried below n = 1")
         return vals[idx]
 
-    @property
-    def max_value(self) -> int:
-        return self.points[-1][1]
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -106,7 +101,7 @@ class ExperimentConfig:
         if self.kind not in KINDS:
             raise ValueError(f"unknown experiment kind {self.kind!r}")
         if self.M < 1:
-            raise ValueError("M must be >= 1")
+            raise ValueError("M (the depth, for ultimate-zero) must be >= 1")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if self.seed < 0:
@@ -149,44 +144,6 @@ class ExperimentConfig:
             "weights": list(self.weights) if self.weights else None,
             "trial_offset": self.trial_offset,
         }
-
-
-@dataclass
-class TrialResult:
-    trial_index: int
-    derived_seed: int
-    collapse_iteration: int | None = None
-    ultimate_value: int | None = None
-    leading_term_trace: list[list[int]] | None = None
-    m0: int | None = None
-
-    def metrics(self) -> dict:
-        out: dict = {"trial_index": self.trial_index, "derived_seed": self.derived_seed}
-        if self.collapse_iteration is not None:
-            out["collapse_iteration"] = self.collapse_iteration
-        if self.ultimate_value is not None:
-            out["ultimate_value"] = self.ultimate_value
-        if self.leading_term_trace is not None:
-            out["leading_term_trace"] = self.leading_term_trace
-            out["m0"] = self.m0
-        return out
-
-
-@dataclass
-class ExperimentRecord:
-    config: ExperimentConfig
-    trials: list[TrialResult]
-    aggregate: dict
-    wall_time: float  # kept in memory only; never serialized, for reproducibility
-
-    def records(self) -> Iterator[dict]:
-        """The result of each trial, in trial order, then the aggregate.
-
-        A generator, so that writing JSONL never holds every record at once.
-        """
-        for tr in self.trials:
-            yield {"record": "trial", **tr.metrics()}
-        yield {"record": "aggregate", **self.aggregate}
 
 
 def derive_trial_stream(master_seed: int, trial_index: int) -> np.random.Generator:
@@ -273,34 +230,51 @@ def sample_gap_sequence(M: int, schedule: Schedule, stream: np.random.Generator)
     return out
 
 
-def run_collapse_experiment(cfg: ExperimentConfig) -> ExperimentRecord:
+
+
+def _trial_stream(cfg: ExperimentConfig, index: int) -> tuple[np.random.Generator, int]:
+    """A trial's stream and its fingerprint, `derived_seed(cfg.seed, index)`, read
+    off the stream's own seed sequence so that a trial builds only one."""
+    rng = derive_trial_stream(cfg.seed, index)
+    return rng, int(rng.bit_generator.seed_seq.generate_state(1, np.uint64)[0])
+
+
+def run_experiment(cfg: ExperimentConfig) -> Iterator[dict]:
+    """Yield the result dict of each trial of `cfg`, in index order, as soon as
+    the trial is done, then the aggregate dict.  Across trials only counts and
+    the ints the medians need are kept, so memory does not grow with the records."""
+    if cfg.kind == "gap_leading_term":
+        return _leading_term_results(cfg)
+    if cfg.kind == "ultimate_zero":
+        return _ultimate_zero_results(cfg)
+    return _collapse_results(cfg)
+
+
+def _collapse_results(cfg: ExperimentConfig) -> Iterator[dict]:
     """Per trial: sample a row, difference until everything is 0 or 1 or the
     budget runs out; aggregate the collapsed fraction and median collapse time."""
-    if cfg.kind not in ("uniform_collapse", "increasing_alphabet"):
-        raise ValueError("collapse experiments need kind uniform_collapse or increasing_alphabet")
     alias = AliasTable(cfg.weights) if cfg.weights else None
-
-    def one_trial(index: int) -> TrialResult:
-        rng = derive_trial_stream(cfg.seed, index)
-        if cfg.kind == "uniform_collapse":
-            if alias is not None:
-                row = alias.sample(rng, cfg.M).astype(np.int64)
-            else:
-                row = sample_uniform(cfg.M, cfg.C, rng)
-        else:
+    collapsed: list[int] = []
+    for index in cfg.indices:
+        rng, fingerprint = _trial_stream(cfg, index)
+        if cfg.kind == "increasing_alphabet":
             row = sample_schedule(cfg.M, cfg.schedule, rng)
+        elif alias is not None:
+            row = alias.sample(rng, cfg.M).astype(np.int64)
+        else:
+            row = sample_uniform(cfg.M, cfg.C, rng)
         res = iterate_until(row, StopRule.all_le_one(), cfg.budget)
-        it = res.iterations if res.reason == "stop" else None
-        # Free the last row before the sampled one, as a loop-local row would
-        # be: the other order costs about a third more page faults per trial.
-        del res
-        return TrialResult(index, derived_seed(cfg.seed, index), collapse_iteration=it)
-
-    start = time.perf_counter()
-    trials = [one_trial(i) for i in cfg.indices]
-    collapsed = [t.collapse_iteration for t in trials if t.collapse_iteration is not None]
+        result = {"record": "trial", "trial_index": index, "derived_seed": fingerprint}
+        if res.reason == "stop":
+            result["collapse_iteration"] = res.iterations
+            collapsed.append(res.iterations)
+        # Free the last row, then the sampled one, before the next trial
+        # samples: holding them costs about a third more page faults per trial.
+        del res, row
+        yield result
     low, high = wilson_interval(len(collapsed), cfg.trials)
-    aggregate = {
+    yield {
+        "record": "aggregate",
         "trials": cfg.trials,
         "collapsed": len(collapsed),
         "estimate": len(collapsed) / cfg.trials,
@@ -309,7 +283,6 @@ def run_collapse_experiment(cfg: ExperimentConfig) -> ExperimentRecord:
         "median_collapse": float(np.median(collapsed)) if collapsed else None,
         "budget": cfg.budget,
     }
-    return ExperimentRecord(cfg, trials, aggregate, time.perf_counter() - start)
 
 
 def _rle(values: list[int]) -> list[list[int]]:
@@ -322,8 +295,8 @@ def _rle(values: list[int]) -> list[list[int]]:
     return out
 
 
-def _leading_term_trial(cfg: ExperimentConfig, index: int) -> TrialResult:
-    rng = derive_trial_stream(cfg.seed, index)
+def _leading_term_trial(cfg: ExperimentConfig, index: int) -> dict:
+    rng, fingerprint = _trial_stream(cfg, index)
     row = sample_gap_sequence(cfg.M, cfg.schedule, rng)
     firsts: list[int] = []
     stabilized_at = None
@@ -343,33 +316,31 @@ def _leading_term_trial(cfg: ExperimentConfig, index: int) -> TrialResult:
     else:
         m0 = last_bad + 1
     trace = _rle(firsts + [1] * (cfg.M - len(firsts)))
-    return TrialResult(
-        index,
-        derived_seed(cfg.seed, index),
-        leading_term_trace=trace,
-        m0=m0,
-    )
+    return {"record": "trial", "trial_index": index, "derived_seed": fingerprint,
+            "leading_term_trace": trace, "m0": m0}
 
 
-def run_leading_term_experiment(cfg: ExperimentConfig) -> ExperimentRecord:
+def _leading_term_results(cfg: ExperimentConfig) -> Iterator[dict]:
     """Per trial: stream the triangle of a random gap sequence, tracking the
     first entry of every row, and report the least M_0 from which it is all 1s."""
-    if cfg.kind != "gap_leading_term":
-        raise ValueError("leading-term experiments need kind gap_leading_term")
-    start = time.perf_counter()
-    trials = [_leading_term_trial(cfg, i) for i in cfg.indices]
-    finite = [t.m0 for t in trials if t.m0 is not None]
-    half = [m for m in finite if m <= cfg.M / 2]
+    finite: list[int] = []
+    for index in cfg.indices:
+        result = _leading_term_trial(cfg, index)
+        if result["m0"] is not None:
+            finite.append(result["m0"])
+        yield result
+    half = sum(1 for m in finite if m <= cfg.M / 2)
     low, high = wilson_interval(len(finite), cfg.trials)
-    hlow, hhigh = wilson_interval(len(half), cfg.trials)
-    aggregate = {
+    hlow, hhigh = wilson_interval(half, cfg.trials)
+    yield {
+        "record": "aggregate",
         "trials": cfg.trials,
         "finite_m0": len(finite),
         "estimate": len(finite) / cfg.trials,
         "ci_low": low,
         "ci_high": high,
-        "m0_half_count": len(half),
-        "m0_half_fraction": len(half) / cfg.trials,
+        "m0_half_count": half,
+        "m0_half_fraction": half / cfg.trials,
         "m0_half_ci_low": hlow,
         "m0_half_ci_high": hhigh,
         "median_m0": float(np.median(finite)) if finite else None,
@@ -377,7 +348,6 @@ def run_leading_term_experiment(cfg: ExperimentConfig) -> ExperimentRecord:
         "schedule_note": "desk-scale schedules skip the asymptotic cap "
         "f(M) <= loglog(M)/(100 * logloglog(M)), which forces f = 2 at any reachable M",
     }
-    return ExperimentRecord(cfg, trials, aggregate, time.perf_counter() - start)
 
 
 def exhaustive_ultimate_zero(C: int, depth: int) -> Fraction:
@@ -389,41 +359,36 @@ def exhaustive_ultimate_zero(C: int, depth: int) -> Fraction:
     return Fraction(int((values == 0).sum()), C**depth)
 
 
-def estimate_ultimate_zero(
-    C: int, depth: int, trials: int, seed: int, trial_offset: int = 0
-) -> ExperimentRecord:
-    """Monte Carlo Pr(ultimate iterate = 0) with the uniform-bound reference
-    1/(200*C**2); the exhaustive value is attached whenever C**depth is small."""
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
-    cfg = ExperimentConfig(
-        kind="ultimate_zero", M=depth, trials=trials, seed=seed, C=C, trial_offset=trial_offset
-    )
-
-    start = time.perf_counter()
+def _ultimate_zero_results(cfg: ExperimentConfig) -> Iterator[dict]:
+    """Monte Carlo Pr(ultimate iterate = 0) for uniform rows of length M, with the
+    uniform-bound reference 1/(200*C**2); the exhaustive value is attached
+    whenever C**M is small.  Trials run in blocks of `BLOCK_CELLS` cells, one
+    `batch_ultimate` call per block."""
+    C, depth = cfg.C, cfg.M
     per_block = max(1, BLOCK_CELLS // depth)
-    values: list[int] = []
-    for lo in range(0, trials, per_block):
+    zeros = 0
+    for lo in range(0, cfg.trials, per_block):
         block = cfg.indices[lo:lo + per_block]
         rows = np.empty((len(block), depth), dtype=np.int64)
-        for k, i in enumerate(block):
-            rows[k] = sample_uniform(depth, C, derive_trial_stream(cfg.seed, i))
-        values += batch_ultimate(rows).tolist()
-    results = [
-        TrialResult(i, derived_seed(cfg.seed, i), ultimate_value=v)
-        for i, v in zip(cfg.indices, values)
-    ]
-    zeros = sum(1 for t in results if t.ultimate_value == 0)
-    low, high = wilson_interval(zeros, trials)
+        fingerprints = np.empty(len(block), dtype=np.uint64)
+        for k, index in enumerate(block):
+            rng, fingerprints[k] = _trial_stream(cfg, index)
+            rows[k] = sample_uniform(depth, C, rng)
+        for index, fingerprint, value in zip(block, fingerprints, batch_ultimate(rows).tolist()):
+            zeros += value == 0
+            yield {"record": "trial", "trial_index": index, "derived_seed": int(fingerprint),
+                   "ultimate_value": value}
+    low, high = wilson_interval(zeros, cfg.trials)
     reference = Fraction(1, 200 * C * C)
     aggregate = {
-        "trials": trials,
+        "record": "aggregate",
+        "trials": cfg.trials,
         "zeros": zeros,
-        "estimate": zeros / trials,
+        "estimate": zeros / cfg.trials,
         "ci_low": low,
         "ci_high": high,
         "reference_bound": float(reference),
-        "exceeds_reference": zeros / trials > float(reference),
+        "exceeds_reference": zeros / cfg.trials > float(reference),
         # The bound's own scale i >= (200*C**2)**(2*C) is far beyond desk reach;
         # the unconditional floor (1/C)**(200*C**2)**(2*C) only fits as a log.
         "floor_log10": -((200 * C * C) ** (2 * C)) * math.log10(C),
@@ -432,4 +397,4 @@ def estimate_ultimate_zero(
         exact = exhaustive_ultimate_zero(C, depth)
         aggregate["exact_probability"] = f"{exact.numerator}/{exact.denominator}"
         aggregate["exact_float"] = float(exact)
-    return ExperimentRecord(cfg, results, aggregate, time.perf_counter() - start)
+    yield aggregate

@@ -9,6 +9,7 @@ that reaches such a row certifies the whole triangle without iterating it.
 from __future__ import annotations
 
 import hashlib
+import os
 import struct
 from dataclasses import dataclass
 from typing import Iterator
@@ -98,8 +99,13 @@ def _write_checkpoint(path: str, limit: int, row_index: int, row: np.ndarray) ->
         row.size,
         row.dtype.itemsize,
     )
-    with open(path, "wb") as fh:
+    # Write beside it and rename, so a crash never leaves a torn checkpoint.
+    tmp = f"{path}.tmp"
+    with open(tmp, "wb") as fh:
         fh.write(header + digest + payload)
+        fh.flush()
+        os.fsync(fh.fileno())
+    os.replace(tmp, path)
 
 
 def load_checkpoint(path: str) -> tuple[int, int, np.ndarray]:
@@ -141,16 +147,17 @@ def verify_gilbreath(
     """
     if N < 3:
         raise ValueError("limit must be >= 3")
-    primes = primes_array(N)
-    n_rows = len(primes) - 1  # row i exists for 1 <= i <= n_rows
-
+    # Row i exists for 1 <= i <= n_rows; row i has n_rows + 1 - i entries.
     if resume:
         if checkpoint_path is None:
             raise ValueError("resume requires a checkpoint path")
         ck_limit, i, row = load_checkpoint(checkpoint_path)
         if ck_limit != N:
             raise ValueError(f"checkpoint was taken at limit {ck_limit}, not {N}")
+        n_rows = i + row.size - 1
     else:
+        primes = primes_array(N)
+        n_rows = len(primes) - 1
         gaps = np.diff(primes)
         row = gaps.astype(np.uint16 if int(gaps.max()) < 65536 else np.int64)
         i = 1

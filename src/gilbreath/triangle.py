@@ -198,7 +198,9 @@ def iterate_until(
             raise ValueError("row must be a non-empty 1-D array of non-negative entries")
         cur = row
     else:
-        cur = np.asarray(validate_row(row), dtype=np.int64)
+        values = validate_row(row)
+        # Past int64, exact Python ints; numpy left to infer could pick float64.
+        cur = np.array(values, dtype=object if max(values) >= 2**63 else np.int64)
     rows = [cur.tolist()] if retain else None
     iters = 0
     while True:

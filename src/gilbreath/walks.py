@@ -78,10 +78,6 @@ class WalkProbability:
         if not 0 <= self.value <= 1:
             raise ValueError("probability out of [0, 1]")
 
-    @property
-    def as_float(self) -> float:
-        return float(self.value)
-
 
 class _RedWalkCounter:
     """Incremental count of red-only walks, one vector push per extra step."""

@@ -18,10 +18,8 @@ from gilbreath.cli import main
 from gilbreath.experiments import (
     ExperimentConfig,
     Schedule,
-    estimate_ultimate_zero,
     exhaustive_ultimate_zero,
-    run_collapse_experiment,
-    run_leading_term_experiment,
+    run_experiment,
 )
 from gilbreath.lifting import ExoticCertificate, verify_certificate
 from gilbreath.parity import parity_of_ultimate, prob_even
@@ -204,9 +202,9 @@ def test_criterion_08_collapse_desk_scale(capsys):
     for offset in (0, 200):
         cfg = ExperimentConfig(kind="uniform_collapse", M=10_000, trials=200, seed=0,
                                C=3, T=10_000 - 1, trial_offset=offset)
-        rec = run_collapse_experiment(cfg)
-        assert rec.aggregate["collapsed"] == 200, "a trial failed to collapse"
-        batches.append(rec.aggregate["median_collapse"])
+        *_, aggregate = run_experiment(cfg)
+        assert aggregate["collapsed"] == 200, "a trial failed to collapse"
+        batches.append(aggregate["median_collapse"])
     elapsed = time.perf_counter() - t0
     a, b = batches
     assert min(a, b) >= 0.8 * max(a, b), f"medians {a} vs {b} differ by more than 20%"
@@ -217,9 +215,10 @@ def test_criterion_08_collapse_desk_scale(capsys):
 
 def test_criterion_09_ultimate_zero_estimate(capsys):
     t0 = time.perf_counter()
-    rec = estimate_ultimate_zero(3, 10, trials=100_000, seed=0)
+    cfg = ExperimentConfig(kind="ultimate_zero", M=10, trials=100_000, seed=0, C=3)
+    *_, aggregate = run_experiment(cfg)
     exact = float(exhaustive_ultimate_zero(3, 10))
-    estimate = rec.aggregate["estimate"]
+    estimate = aggregate["estimate"]
     se = (exact * (1 - exact) / 100_000) ** 0.5
     elapsed = time.perf_counter() - t0
     assert abs(estimate - exact) <= 3 * se, (estimate, exact, se)
@@ -237,12 +236,12 @@ def test_criterion_10_leading_term_desk_scale(capsys):
     for offset in (0, 100):
         cfg = ExperimentConfig(kind="gap_leading_term", M=5000, trials=100, seed=0,
                                schedule=Schedule.constant(2), trial_offset=offset)
-        rec = run_leading_term_experiment(cfg)
-        assert rec.aggregate["finite_m0"] == 100, "a trial had no finite M_0"
-        for t in rec.trials:
-            assert t.m0 is not None and t.m0 <= 5000
-        fracs.append(rec.aggregate["m0_half_fraction"])
-        cis.append((rec.aggregate["m0_half_ci_low"], rec.aggregate["m0_half_ci_high"]))
+        *trials, aggregate = run_experiment(cfg)
+        assert aggregate["finite_m0"] == 100, "a trial had no finite M_0"
+        for t in trials:
+            assert t["m0"] is not None and t["m0"] <= 5000
+        fracs.append(aggregate["m0_half_fraction"])
+        cis.append((aggregate["m0_half_ci_low"], aggregate["m0_half_ci_high"]))
     elapsed = time.perf_counter() - t0
     assert cis[1][0] <= fracs[0] <= cis[1][1]
     assert cis[0][0] <= fracs[1] <= cis[0][1]

@@ -1,5 +1,6 @@
 import csv
 import json
+import os
 
 import pytest
 
@@ -33,6 +34,17 @@ def test_triangle_stop_rule(capsys):
     code, out, _ = run(capsys, "triangle", "--values", "3,0,3,0", "--stop", "le1")
     assert code == 0
     assert out.splitlines()[-1] == "0 0"
+
+
+@pytest.mark.parametrize("values", ["1,99999999999999999999", "1,9223372036854775808,5"])
+def test_triangle_big_entries_stay_exact(capsys, values):
+    code, exhausted, _ = run(capsys, "triangle", "--values", values, "--stop", "none")
+    assert code == 0
+    code, stopped, _ = run(capsys, "triangle", "--values", values, "--stop", "le1")
+    assert code == 0
+    assert stopped == exhausted
+    top, *rest = [[int(v) for v in line.split()] for line in exhausted.splitlines()]
+    assert rest[0] == [abs(a - b) for a, b in zip(top, top[1:])]
 
 
 def test_triangle_rejects_bad_values(capsys):
@@ -80,6 +92,12 @@ def test_bootstrap_cycle(capsys):
     assert code == 0
     assert "11/200" in out
     assert "True" in out
+
+
+def test_bootstrap_bad_fraction_exits_1(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["bootstrap", "--cycle", "200", "--length", "10", "--c", "x/20"])
+    assert exc.value.code == 1
 
 
 def test_bootstrap_debruijn(capsys):
@@ -172,7 +190,7 @@ def test_experiment_csv_aggregate(capsys, tmp_path):
     assert all(r["estimate"] == "" for r in rows[:-1])
 
 
-def test_leading_term_closure_failure_is_a_finding(capsys, monkeypatch):
+def test_leading_term_closure_failure_is_a_finding(capsys, monkeypatch, tmp_path):
     real = experiments.stabilization_predicate
     last = [False]
 
@@ -185,12 +203,22 @@ def test_leading_term_closure_failure_is_a_finding(capsys, monkeypatch):
 
     monkeypatch.setattr(experiments, "stabilization_predicate", fails_on_closure)
     code, _, err = run(capsys, "experiment", "leading-term", "--M", "200", "--f", "2",
-                       "--trials", "3", "--seed", "4")
+                       "--trials", "3", "--seed", "4", "--out", str(tmp_path / "lt.jsonl"))
     assert code == 2
+    # The run failed mid-stream: neither --out nor its temporary file is left.
+    assert list(tmp_path.iterdir()) == []
     reproducer = json.loads(err.splitlines()[1])["reproducer"]
     assert reproducer["seed"] == 4 and reproducer["trial_index"] == 0
     assert reproducer["row"] >= 2
     assert Finding is triangle.Finding
+
+
+@pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+def test_out_to_non_regular_file(capsys, fmt):
+    code, out, _ = run(capsys, "experiment", "ultimate-zero", "--C", "3", "--depth", "5",
+                       "--trials", "5", "--format", fmt, "--out", os.devnull)
+    assert code == 0 and out.startswith("aggregate: ")
+    assert not os.path.isfile(os.devnull)
 
 
 def test_experiment_missing_args(capsys):

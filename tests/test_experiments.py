@@ -1,3 +1,5 @@
+import tracemalloc
+from collections import deque
 from fractions import Fraction
 
 import numpy as np
@@ -10,16 +12,25 @@ from gilbreath.experiments import (
     Schedule,
     derive_trial_stream,
     derived_seed,
-    estimate_ultimate_zero,
     exhaustive_ultimate_zero,
-    run_collapse_experiment,
-    run_leading_term_experiment,
+    run_experiment,
     sample_gap_sequence,
     sample_schedule,
     sample_uniform,
     wilson_interval,
 )
 from gilbreath.triangle import batch_ultimate
+
+
+def run(cfg):
+    """A run's trial dicts and its aggregate dict."""
+    *trials, aggregate = run_experiment(cfg)
+    return trials, aggregate
+
+
+def ultimate_zero(C, depth, trials, seed, trial_offset=0):
+    return ExperimentConfig(kind="ultimate_zero", M=depth, trials=trials, seed=seed, C=C,
+                            trial_offset=trial_offset)
 
 
 def test_schedule_parse_and_values():
@@ -106,81 +117,81 @@ def test_alias_table_matches_weights():
 
 def test_collapse_c2_is_instant():
     cfg = ExperimentConfig(kind="uniform_collapse", M=200, trials=20, seed=0, C=2)
-    rec = run_collapse_experiment(cfg)
-    assert all(t.collapse_iteration == 0 for t in rec.trials)
-    assert rec.aggregate["estimate"] == 1.0
+    trials, aggregate = run(cfg)
+    assert all(t["collapse_iteration"] == 0 for t in trials)
+    assert aggregate["estimate"] == 1.0
 
 
 def test_collapse_weighted_sampling():
     cfg = ExperimentConfig(kind="uniform_collapse", M=500, trials=10, seed=0, C=3,
                            weights=(0.6, 0.3, 0.1))
-    rec = run_collapse_experiment(cfg)
-    assert rec.aggregate["collapsed"] == 10
+    _, aggregate = run(cfg)
+    assert aggregate["collapsed"] == 10
 
 
 def test_collapse_increasing_alphabet():
     cfg = ExperimentConfig(kind="increasing_alphabet", M=2000, trials=10, seed=0,
                            schedule=Schedule.parse("1:2,1000:3"))
-    rec = run_collapse_experiment(cfg)
-    assert rec.aggregate["collapsed"] == 10
-    assert rec.aggregate["median_collapse"] is not None
+    _, aggregate = run(cfg)
+    assert aggregate["collapsed"] == 10
+    assert aggregate["median_collapse"] is not None
 
 
 def test_collapse_budget_respected():
     cfg = ExperimentConfig(kind="uniform_collapse", M=500, trials=10, seed=0, C=6, T=1)
-    rec = run_collapse_experiment(cfg)
-    for t in rec.trials:
-        assert t.collapse_iteration is None or t.collapse_iteration <= 1
+    trials, _ = run(cfg)
+    for t in trials:
+        assert t.get("collapse_iteration") is None or t["collapse_iteration"] <= 1
 
 
 def test_leading_term_prime_prefix_behaviour():
     cfg = ExperimentConfig(kind="gap_leading_term", M=100, trials=5, seed=0,
                            schedule=Schedule.constant(2))
-    rec = run_leading_term_experiment(cfg)
+    trials, _ = run(cfg)
     # f = 2 gives a first iterate of 1, 2u_2, ...: stabilized immediately
-    for t in rec.trials:
-        assert t.m0 == 1
-        assert t.leading_term_trace == [[1, 100]]
+    for t in trials:
+        assert t["m0"] == 1
+        assert t["leading_term_trace"] == [[1, 100]]
 
 
 def test_leading_term_wider_schedule():
     cfg = ExperimentConfig(kind="gap_leading_term", M=400, trials=20, seed=1,
                            schedule=Schedule.constant(4))
-    rec = run_leading_term_experiment(cfg)
-    finite = [t.m0 for t in rec.trials if t.m0 is not None]
+    trials, _ = run(cfg)
+    finite = [t["m0"] for t in trials if t["m0"] is not None]
     assert len(finite) == 20  # desk-scale f=4 still settles
     # traces must run the full M rows and end in 1s
-    for t in rec.trials:
-        assert sum(c for _, c in t.leading_term_trace) == 400
-        assert t.leading_term_trace[-1][0] == 1
+    for t in trials:
+        assert sum(c for _, c in t["leading_term_trace"]) == 400
+        assert t["leading_term_trace"][-1][0] == 1
 
 
 def test_ultimate_zero_exact_small():
     assert exhaustive_ultimate_zero(2, 3) == Fraction(4, 8)
     assert exhaustive_ultimate_zero(5, 1) == Fraction(1, 5)
-    rec = estimate_ultimate_zero(2, 3, trials=2000, seed=0)
-    assert abs(rec.aggregate["estimate"] - 0.5) < 0.05
-    assert rec.aggregate["exact_probability"] == "1/2"
+    _, aggregate = run(ultimate_zero(2, 3, trials=2000, seed=0))
+    assert abs(aggregate["estimate"] - 0.5) < 0.05
+    assert aggregate["exact_probability"] == "1/2"
 
 
 def test_ultimate_zero_matches_exhaustive_3se():
-    rec = estimate_ultimate_zero(3, 6, trials=20_000, seed=0)
+    _, aggregate = run(ultimate_zero(3, 6, trials=20_000, seed=0))
     exact = float(exhaustive_ultimate_zero(3, 6))
     se = (exact * (1 - exact) / 20_000) ** 0.5
-    assert abs(rec.aggregate["estimate"] - exact) <= 3 * se
+    assert abs(aggregate["estimate"] - exact) <= 3 * se
 
 
 def test_records_are_schedule_independent():
     def trial_records(offset, trials):
         cfg = ExperimentConfig(kind="uniform_collapse", M=300, trials=trials, seed=9, C=3,
                                trial_offset=offset)
-        return list(run_collapse_experiment(cfg).records())[:-1]
+        return run(cfg)[0]
 
     assert trial_records(0, 20) + trial_records(20, 20) == trial_records(0, 40)
 
 
 def test_ultimate_zero_blocks_match_one_block(monkeypatch):
-    one_block = list(estimate_ultimate_zero(3, 10, trials=50, seed=5, trial_offset=7).records())
+    one_block = list(run_experiment(ultimate_zero(3, 10, trials=50, seed=5, trial_offset=7)))
     batches = []
 
     def spy(rows):
@@ -189,7 +200,7 @@ def test_ultimate_zero_blocks_match_one_block(monkeypatch):
 
     monkeypatch.setattr(experiments, "BLOCK_CELLS", 64)  # 6 rows of depth 10
     monkeypatch.setattr(experiments, "batch_ultimate", spy)
-    blocked = list(estimate_ultimate_zero(3, 10, trials=50, seed=5, trial_offset=7).records())
+    blocked = list(run_experiment(ultimate_zero(3, 10, trials=50, seed=5, trial_offset=7)))
     # Nine trial blocks, then the exhaustive 3**10 enumeration.
     assert batches[:-1] == [6] * 8 + [2]
     assert blocked == one_block
@@ -199,10 +210,41 @@ def test_trial_offset_gives_disjoint_batches():
     base = ExperimentConfig(kind="uniform_collapse", M=300, trials=30, seed=2, C=3)
     shifted = ExperimentConfig(kind="uniform_collapse", M=300, trials=30, seed=2, C=3,
                                trial_offset=30)
-    a = run_collapse_experiment(base)
-    b = run_collapse_experiment(shifted)
-    assert {t.trial_index for t in a.trials}.isdisjoint(t.trial_index for t in b.trials)
-    assert {t.derived_seed for t in a.trials}.isdisjoint(t.derived_seed for t in b.trials)
+    a, _ = run(base)
+    b, _ = run(shifted)
+    assert {t["trial_index"] for t in a}.isdisjoint(t["trial_index"] for t in b)
+    assert {t["derived_seed"] for t in a}.isdisjoint(t["derived_seed"] for t in b)
+
+
+@pytest.mark.parametrize("cfg", [
+    ExperimentConfig(kind="uniform_collapse", M=50, trials=12, seed=4, C=3, trial_offset=7),
+    ExperimentConfig(kind="increasing_alphabet", M=50, trials=12, seed=4,
+                     schedule=Schedule.parse("1:2,20:3"), trial_offset=7),
+    ExperimentConfig(kind="gap_leading_term", M=50, trials=12, seed=4,
+                     schedule=Schedule.constant(3), trial_offset=7),
+    ultimate_zero(3, 6, trials=12, seed=4, trial_offset=7),
+], ids=lambda cfg: cfg.kind)
+def test_trial_records_carry_derived_seed(cfg):
+    trials, _ = run(cfg)
+    assert [t["trial_index"] for t in trials] == list(range(7, 19))
+    for t in trials:
+        assert t["derived_seed"] == derived_seed(4, t["trial_index"])
+
+
+def test_run_memory_does_not_grow_with_trials():
+    def peak(trials):
+        cfg = ExperimentConfig(kind="uniform_collapse", M=50, trials=trials, seed=0, C=3)
+        tracemalloc.start()
+        try:
+            deque(run_experiment(cfg), maxlen=0)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(10)  # warm up lazy imports and caches outside the measurement
+    per_trial = (peak(5000) - peak(500)) / 4500
+    # The medians keep one int per collapsed trial; a held record costs ~290 bytes.
+    assert per_trial < 32, f"{per_trial:.1f} bytes per extra trial"
 
 
 def test_collapse_monotone_closure():

@@ -20,6 +20,10 @@ GOLDEN = [
     (("experiment", "increasing-alphabet", "--M", "1000", "--f", "1:2,500:3", "--trials", "20",
       "--seed", "3"),
      "0fca8a383ecc40cbc8794de6f86825535d3a680faec2f451ab3b39fd714bea46"),
+    # CSV: the trial and aggregate rows under the union of their result keys.
+    (("experiment", "collapse", "--M", "2000", "--C", "3", "--trials", "50", "--seed", "3",
+      "--format", "csv"),
+     "0e778bd1ef572fd9fbeee627022601bd2c47d8fd90b0ccfe623bf0c3f14f31e0"),
     (("primes", "--limit", "100000"),
      "919dd6eacec0145622827cbe19acb59143247c2d4178045f44debfb443c39b14"),
     (("parity", "--depth", "100", "--prob-even", "2,6"),
@@ -30,7 +34,10 @@ GOLDEN = [
 ]
 
 
-@pytest.mark.parametrize("argv, digest", GOLDEN, ids=[" ".join(a[:2]) for a, _ in GOLDEN])
+IDS = [" ".join(a[:2]) + (" csv" if "csv" in a else "") for a, _ in GOLDEN]
+
+
+@pytest.mark.parametrize("argv, digest", GOLDEN, ids=IDS)
 def test_out_bytes_match_golden(capsys, tmp_path, argv, digest):
     out = tmp_path / "out"
     assert main([*argv, "--out", str(out)]) == 0

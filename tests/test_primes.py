@@ -3,6 +3,7 @@ from itertools import product
 import numpy as np
 import pytest
 
+from gilbreath import primes
 from gilbreath.primes import (
     SieveConfig,
     load_checkpoint,
@@ -89,6 +90,21 @@ def test_checkpoint_round_trip(tmp_path):
     resumed = verify_gilbreath(50_000, checkpoint_path=path, resume=True)
     assert resumed.status == full.status == "verified"
     assert resumed.stabilization_row == full.stabilization_row
+
+
+def test_resume_reads_the_checkpoint_not_the_sieve(tmp_path, monkeypatch):
+    path = tmp_path / "ck.bin"
+    fresh = verify_gilbreath(50_000, checkpoint_path=str(path), checkpoint_every=5)
+    # Checkpoints are written beside the file and renamed into place.
+    assert list(tmp_path.iterdir()) == [path]
+
+    def no_sieve(*args, **kwargs):
+        raise AssertionError("resume sieved the primes again")
+
+    monkeypatch.setattr(primes, "primes_array", no_sieve)
+    resumed = verify_gilbreath(50_000, checkpoint_path=str(path), resume=True)
+    assert (resumed.status, resumed.verified_rows, resumed.stabilization_row) == (
+        fresh.status, fresh.verified_rows, fresh.stabilization_row)
 
 
 def test_checkpoint_rejects_wrong_limit(tmp_path):
