@@ -12,7 +12,6 @@ from fractions import Fraction
 from itertools import combinations
 
 from gilbreath.walks import (
-    all_red_probability,
     check_bootstrap,
     debruijn_graph,
     random_coloring,
@@ -23,8 +22,7 @@ from gilbreath.walks import (
 def min_slack(g, col, lengths):
     worst = None
     for L in lengths:
-        c = all_red_probability(g, col, L).value
-        v = check_bootstrap(g, col, L, c)
+        v = check_bootstrap(g, col, L)  # c = the all-red probability at L
         if not v.hypothesis_met or v.threshold == 0:
             continue
         slack = Fraction(v.long_probability, v.threshold)

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .triangle import TriangleHistory, diff_step
+from .triangle import StopKind, StopRule, TriangleHistory, iterate_until
 
 
 @dataclass(frozen=True)
@@ -89,10 +89,7 @@ def check_block_destruction(row: Sequence[int]) -> DestructionVerdict:
     L = longest_block(row, BlockSpec(frozenset({0, d}), require_witness=d)).max_length
     if L > len(row) - 1:
         return DestructionVerdict(False, None, d, L, None)
-    cur = list(row)
-    for _ in range(L):
-        cur = diff_step(cur)
-    observed = max(cur)
+    observed = max(iterate_until(row, StopRule(StopKind.NONE), L).row)
     return DestructionVerdict(True, observed <= d - 1, d, L, observed)
 
 

@@ -44,6 +44,14 @@ def _parse_values(text: str) -> list[int]:
     return validate_row([int(tok) for tok in text.replace(",", " ").split()])
 
 
+def fraction(text: str) -> Fraction:
+    """argparse type for --c: a zero denominator is a usage error, not a traceback."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
+
+
 def _parse_int_pair(text: str) -> tuple[int, int]:
     a, b = (int(tok) for tok in text.replace(",", " ").split())
     return a, b
@@ -147,28 +155,21 @@ _STOP_CHOICES = {
     "zero-d": StopKind.ALL_IN_ZERO_D,
     "first-not-one": StopKind.FIRST_NOT_ONE,
     "stable": StopKind.STABLE_TAIL,
+    "none": StopKind.NONE,
 }
 
 
 def _cmd_triangle(args) -> list[Group]:
     row = _parse_values(args.values)
-    if args.stop == "none":
-        history = TriangleHistory.from_row(row)
-        iterations, reason = len(history.rows) - 1, "exhausted"
-    else:
-        kind = _STOP_CHOICES[args.stop]
-        if kind is StopKind.ALL_IN_ZERO_D:
-            _require(args.d is not None, "--stop zero-d needs --d")
-            rule = StopRule(kind, d=args.d)
-        else:
-            rule = StopRule(kind)
-        budget = args.max_iters if args.max_iters is not None else len(row) - 1
-        res = iterate_until(row, rule, budget, retain=True)
-        history, iterations, reason = res.history, res.iterations, res.reason
-    for r in history.rows:
+    kind = _STOP_CHOICES[args.stop]
+    _require(kind is not StopKind.ALL_IN_ZERO_D or args.d is not None, "--stop zero-d needs --d")
+    rule = StopRule(kind, d=args.d)  # only the zero-d rule reads d
+    budget = args.max_iters if args.max_iters is not None else len(row) - 1
+    res = iterate_until(row, rule, budget, retain=True)
+    for r in res.history.rows:
         print(" ".join(str(v) for v in r))
     params = {"values": row, "stop": args.stop, "max_iters": args.max_iters, "d": args.d}
-    result = {"rows": history.rows, "iterations": iterations, "reason": reason}
+    result = {"rows": res.history.rows, "iterations": res.iterations, "reason": res.reason}
     return [("triangle", params, [result])]
 
 
@@ -176,9 +177,10 @@ def _cmd_parity(args) -> list[Group]:
     groups = []
     if args.depth is not None:
         m = parity.mask(args.depth)
+        members = sorted(m.members)
         params = {"depth": args.depth}
-        result = {"members": sorted(m.members), "size": m.size}
-        print(f"J_{args.depth}: {sorted(m.members)} (size {m.size})")
+        result = {"members": members, "size": m.size}
+        print(f"J_{args.depth}: {members} (size {m.size})")
         groups.append(("parity_mask", params, [result]))
     if args.prob_even is not None:
         c_lo, c_hi = _parse_int_pair(args.prob_even)
@@ -271,9 +273,8 @@ def _build_graph(args, rng_seed: int) -> tuple[walks.RegularDigraph, walks.Color
 def _cmd_bootstrap(args) -> list[Group]:
     g, col, source = _build_graph(args, args.seed)
     L = args.length
-    counter_prob = walks.all_red_probability(g, col, L).value
-    c = args.c if args.c is not None else counter_prob
-    verdict = walks.check_bootstrap(g, col, L, c)
+    verdict = walks.check_bootstrap(g, col, L, args.c)
+    c = args.c if args.c is not None else verdict.short_probability
     params = dict(source, n=g.n, d=g.d, length=L, c=str(c))
     result = {
         "hypothesis_met": verdict.hypothesis_met,
@@ -403,7 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("triangle", help="print the difference triangle of a row")
     p.add_argument("--values", required=True, help="comma-separated row entries")
-    p.add_argument("--stop", choices=list(_STOP_CHOICES) + ["none"], default="none")
+    p.add_argument("--stop", choices=list(_STOP_CHOICES), default="none")
     p.add_argument("--d", type=int, help="d for the zero-d stop rule")
     p.add_argument("--max-iters", type=int)
     common(p)
@@ -431,7 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--random", dest="random_graph", help="'n,d' seeded random regular digraph")
     p.add_argument("--red-fraction", type=float, default=0.5)
     p.add_argument("--length", type=int, required=True, help="walk length L")
-    p.add_argument("--c", type=Fraction,
+    p.add_argument("--c", type=fraction,
                    help="hypothesis threshold (fraction, default: exact P at L)")
     common(p)
 

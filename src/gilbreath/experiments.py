@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import groupby
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -285,39 +286,22 @@ def _collapse_results(cfg: ExperimentConfig) -> Iterator[dict]:
     }
 
 
-def _rle(values: list[int]) -> list[list[int]]:
-    out: list[list[int]] = []
-    for v in values:
-        if out and out[-1][0] == v:
-            out[-1][1] += 1
-        else:
-            out.append([v, 1])
-    return out
-
-
 def _leading_term_trial(cfg: ExperimentConfig, index: int) -> dict:
     rng, fingerprint = _trial_stream(cfg, index)
     row = sample_gap_sequence(cfg.M, cfg.schedule, rng)
-    firsts: list[int] = []
-    stabilized_at = None
-    for i in range(1, cfg.M + 1):
-        row = step_array(row)
-        firsts.append(int(row[0]))
-        if stabilization_predicate(row):
-            stabilized_at = i
-            # Spot-check the closure that justifies stopping early.
-            if row.size > 1 and not stabilization_predicate(step_array(row)):
-                raise Finding("0/2-tail stability violated",
-                              {"seed": cfg.seed, "trial_index": index, "row": i + 1})
-            break
-    last_bad = max((i for i, v in enumerate(firsts, start=1) if v != 1), default=0)
-    if stabilized_at is None and firsts[-1] != 1:
-        m0 = None
-    else:
-        m0 = last_bad + 1
-    trace = _rle(firsts + [1] * (cfg.M - len(firsts)))
-    return {"record": "trial", "trial_index": index, "derived_seed": fingerprint,
-            "leading_term_trace": trace, "m0": m0}
+    # Rows 1..M of the triangle; a length-1 row is stable iff it is [1].
+    res = iterate_until(step_array(row), StopRule.stable_tail(), cfg.M - 1)
+    m0 = None
+    if res.reason == "stop":
+        # Spot-check the closure that justifies stopping early.
+        if res.row.size > 1 and not stabilization_predicate(step_array(res.row)):
+            raise Finding("0/2-tail stability violated",
+                          {"seed": cfg.seed, "trial_index": index, "row": len(res.firsts) + 1})
+        m0 = 1 + max((i for i, v in enumerate(res.firsts, start=1) if v != 1), default=0)
+    # Every row past the stable one starts with 1; the trace is run-length encoded.
+    leading = res.firsts + [1] * (cfg.M - len(res.firsts))
+    return {"record": "trial", "trial_index": index, "derived_seed": fingerprint, "m0": m0,
+            "leading_term_trace": [[v, len(list(run))] for v, run in groupby(leading)]}
 
 
 def _leading_term_results(cfg: ExperimentConfig) -> Iterator[dict]:

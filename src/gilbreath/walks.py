@@ -89,6 +89,8 @@ class _RedWalkCounter:
         self.totals = [sum(self.vec)]  # totals[k] = red-only walks of length k+1
 
     def total(self, L: int) -> int:
+        if L < 1:
+            raise ValueError("walk length must be >= 1")
         while len(self.totals) < L:
             vec = self.vec
             new = [0] * self.g.n
@@ -107,8 +109,6 @@ class _RedWalkCounter:
 
 def all_red_probability(g: RegularDigraph, col: Coloring, L: int) -> WalkProbability:
     """Exact probability that a simple random walk of length L stays on red vertices."""
-    if L < 1:
-        raise ValueError("walk length must be >= 1")
     return _RedWalkCounter(g, col).probability(L)
 
 
@@ -122,15 +122,15 @@ class BootstrapVerdict:
     threshold: Fraction
 
 
-def check_bootstrap(g: RegularDigraph, col: Coloring, L: int, c: Fraction) -> BootstrapVerdict:
+def check_bootstrap(g: RegularDigraph, col: Coloring, L: int,
+                    c: Fraction | None = None) -> BootstrapVerdict:
     """All-red probability >= c at length L should give >= c**2/10 at length
-    floor((1 + c**2/10) * L); returned as a falsifiable verdict.
+    floor((1 + c**2/10) * L); returned as a falsifiable verdict.  With c None,
+    c is the all-red probability at L itself, from the same walk DP.
     """
-    if L < 1:
-        raise ValueError("walk length must be >= 1")
-    c = Fraction(c)
     counter = _RedWalkCounter(g, col)
     short = counter.probability(L).value
+    c = short if c is None else Fraction(c)
     threshold = c * c / 10
     if short < c:
         return BootstrapVerdict(False, None, short, None, None, threshold)

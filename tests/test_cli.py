@@ -30,6 +30,12 @@ def test_triangle_prints_prime_triangle(capsys):
     assert out == PRIME_TRIANGLE
 
 
+def test_triangle_max_iters_bounds_stop_none(capsys):
+    code, out, _ = run(capsys, "triangle", "--values", "2,3,5,7,11,13,17", "--max-iters", "2")
+    assert code == 0
+    assert out == "".join(PRIME_TRIANGLE.splitlines(keepends=True)[:3])
+
+
 def test_triangle_stop_rule(capsys):
     code, out, _ = run(capsys, "triangle", "--values", "3,0,3,0", "--stop", "le1")
     assert code == 0
@@ -95,9 +101,11 @@ def test_bootstrap_cycle(capsys):
 
 
 def test_bootstrap_bad_fraction_exits_1(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["bootstrap", "--cycle", "200", "--length", "10", "--c", "x/20"])
-    assert exc.value.code == 1
+    for c in ("x/20", "1/0"):
+        with pytest.raises(SystemExit) as exc:
+            main(["bootstrap", "--cycle", "200", "--length", "10", "--c", c])
+        assert exc.value.code == 1
+        assert f"argument --c: invalid fraction value: '{c}'" in capsys.readouterr().err
 
 
 def test_bootstrap_debruijn(capsys):
@@ -191,17 +199,9 @@ def test_experiment_csv_aggregate(capsys, tmp_path):
 
 
 def test_leading_term_closure_failure_is_a_finding(capsys, monkeypatch, tmp_path):
-    real = experiments.stabilization_predicate
-    last = [False]
-
-    def fails_on_closure(row):
-        # The call after the first stabilized row is the closure spot-check.
-        if last[0]:
-            return False
-        last[0] = real(row)
-        return last[0]
-
-    monkeypatch.setattr(experiments, "stabilization_predicate", fails_on_closure)
+    # The stop test runs inside iterate_until; the experiment's own call of
+    # the predicate is the closure spot-check on the row after it.
+    monkeypatch.setattr(experiments, "stabilization_predicate", lambda row: False)
     code, _, err = run(capsys, "experiment", "leading-term", "--M", "200", "--f", "2",
                        "--trials", "3", "--seed", "4", "--out", str(tmp_path / "lt.jsonl"))
     assert code == 2

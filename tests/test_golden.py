@@ -31,10 +31,21 @@ GOLDEN = [
     # Pins the lift search order: preimage order and the rng.shuffle sequence.
     (("exotic", "--seed-row", "0,0,0,3,3,0,0,0,0,0,0,0", "--cap", "6", "--width", "16"),
      "9b8ffb4613fc2c5aa23b8de8c2fb9f383db78451b014e9e152c1ee438a24947f"),
+    # Commands whose triangles run through iterate_until's stop rules.
+    (("triangle", "--values", "2,3,5,7,11,13,17"),
+     "8daf3354f406834ffbfbfd15bbb65f683246857f217441be0915b92d8028520e"),
+    (("triangle", "--values", "3,0,3,0,3,1", "--stop", "stable"),
+     "307124ceb2ecb66ccca96a16803f3922d7e7c73ee1a19c7276573373f262ab0b"),
+    (("blocks", "--values", "3,0,3,0,3,0,3,1,2,2,0", "--events", "4,2"),
+     "7be5ddee48cc176fde34962ab9afe249b72a6ecc47f8ac8b7cbf9839b519c786"),
+    (("bootstrap", "--debruijn", "3,4", "--targets", "0,2", "--length", "12"),
+     "69d4bf47ca8ca73b1b4ee58b8821aa81d9170eb23befa9e557be8764d81f39e3"),
 ]
 
 
-IDS = [" ".join(a[:2]) + (" csv" if "csv" in a else "") for a, _ in GOLDEN]
+# The first two arguments, then the value of --format or --stop if given.
+IDS = [" ".join(a[:2]) + "".join(f" {a[a.index(opt) + 1]}" for opt in ("--format", "--stop")
+                                 if opt in a) for a, _ in GOLDEN]
 
 
 @pytest.mark.parametrize("argv, digest", GOLDEN, ids=IDS)

@@ -48,6 +48,9 @@ def test_mask_matches_shift_xor_recurrence_to_3000():
         assert mask(i).bits == bits, i
         # Glaisher: |J_i| = 2**popcount(i), which prob_even relies on.
         assert mask(i).size == 2 ** i.bit_count(), i
+        # members against a scan of every bit position.
+        scan = {k + 1 for k, ch in enumerate(reversed(bin(bits)[2:])) if ch == "1"}
+        assert mask(i).members == scan, i
 
 
 def test_mask_binomial_closed_form_to_1e3():

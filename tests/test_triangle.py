@@ -108,6 +108,8 @@ def test_iterate_until_list_and_array_agree(stop, budget):
                                                               from_array.reason)
         assert from_list.row == from_array.row.tolist()
         assert from_list.history.rows == from_array.history.rows
+        assert from_list.firsts == from_array.firsts == [r[0] for r in from_list.history.rows]
+        assert len(from_list.firsts) == from_list.iterations + 1
 
 
 def test_iterate_until_rejects_bad_array():

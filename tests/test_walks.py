@@ -102,6 +102,16 @@ def test_bootstrap_hypothesis_unmet():
     assert not v.hypothesis_met and v.holds is None
 
 
+def test_bootstrap_default_c_is_the_probability_at_L():
+    g = debruijn_graph(3, 4)
+    for targets in ([0], [0, 2], [1, 2]):
+        col = ultimate_iterate_coloring(3, 4, targets)
+        for L in (1, 3, 8, 12):
+            explicit = check_bootstrap(g, col, L, all_red_probability(g, col, L).value)
+            assert check_bootstrap(g, col, L) == explicit
+            assert explicit.threshold == explicit.short_probability ** 2 / 10
+
+
 def test_monotone_in_length():
     rng = random.Random(2)
     g = random_regular_digraph(12, 3, rng)
