@@ -8,7 +8,6 @@ from .triangle import (
     TriangleHistory,
     diff_step,
     iterate_until,
-    parity_step,
     ultimate_iterate,
 )
 from .parity import ParityMask, mask, parity_of_ultimate, prob_even
@@ -38,7 +37,7 @@ from .experiments import (
     sample_gap_sequence,
     sample_uniform,
 )
-from .primes import SieveConfig, Verdict, sieve_primes, stabilization_predicate, verify_gilbreath
+from .primes import SieveConfig, Verdict, stabilization_predicate, verify_gilbreath
 from .lifting import ExoticCertificate, LiftConstraint, lift_search, preimages, verify_certificate
 
 __version__ = "0.1.0"

@@ -453,9 +453,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("primes", help="verify the prime difference triangle up to a limit")
     p.add_argument("--limit", type=int, required=True)
-    p.add_argument("--max-full-rows", type=int, default=10_000)
+    p.add_argument("--max-full-rows", type=int, default=10_000, metavar="D",
+                   help="depth cap D; each sieve window overlaps the one before by D gaps")
     p.add_argument("--checkpoint", help="checkpoint file path")
-    p.add_argument("--checkpoint-every", type=int, default=0)
+    p.add_argument("--checkpoint-every", type=int, default=0, metavar="K",
+                   help="write --checkpoint after every K-th sieve segment (0: never)")
     p.add_argument("--resume", action="store_true", help="resume from --checkpoint")
     common(p)
 

@@ -1,18 +1,22 @@
-"""Prime difference-triangle verification with the 0/2-tail stabilization shortcut.
+"""Prime difference-triangle verification over overlapping windows of sieve segments.
 
-Row 0 is the primes up to N, row i the i-th absolute-difference iterate.  Once
-some row equals 1 followed only by 0s and 2s, every later first entry is 1
-(|1-0| = |1-2| = 1 and {0,2} is closed under absolute differences), so a run
-that reaches such a row certifies the whole triangle without iterating it.
+Row 1 is the gaps between the primes up to N, row i + 1 the absolute
+differences of row i.  Once some row is a 1 followed only by 0s and 2s, every
+later first entry is 1 (|1-0| = |1-2| = 1 and {0,2} is closed under absolute
+differences).  Entry (r, j) depends only on gaps j..j+r-1, so a window that
+starts D gaps before a sieve segment is exact to depth D and memory is
+O(D + segment): the prefix idea of A. M. Odlyzko, "Iterated absolute values of
+differences of consecutive primes", Math. Comp. 61 (1993).
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 import os
 import struct
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -20,7 +24,9 @@ from .triangle import StopKind, StopRule, iterate_until, step_array
 from .triangle import stabilization_predicate  # noqa: F401  (public name of this module)
 
 CHECKPOINT_MAGIC = b"GILB"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
+# magic, version, then the Checkpoint fields before `tail`.
+CHECKPOINT_HEADER = "<4sIQQQQQ"
 
 
 @dataclass(frozen=True)
@@ -36,41 +42,28 @@ class SieveConfig:
 
 
 def _simple_sieve(limit: int) -> np.ndarray:
-    if limit < 2:
-        return np.array([], dtype=np.int64)
     is_prime = np.ones(limit + 1, dtype=bool)
     is_prime[:2] = False
-    for p in range(2, int(limit**0.5) + 1):
+    for p in range(2, math.isqrt(limit) + 1):
         if is_prime[p]:
             is_prime[p * p :: p] = False
     return np.flatnonzero(is_prime).astype(np.int64)
 
 
-def sieve_segments(cfg: SieveConfig) -> Iterator[np.ndarray]:
-    """Primes <= limit as a stream of in-order int64 arrays, one per segment."""
-    base = _simple_sieve(int(cfg.limit**0.5))
-    low = 2
+def sieve_segments(cfg: SieveConfig, start: int = 2) -> Iterator[np.ndarray]:
+    """Primes in [start, limit] as a stream of in-order int64 arrays, one per segment."""
+    base = _simple_sieve(math.isqrt(cfg.limit))
+    low = max(start, 2)
     while low <= cfg.limit:
         high = min(low + cfg.segment_size, cfg.limit + 1)  # exclusive
         mask = np.ones(high - low, dtype=bool)
         for p in base:
             p = int(p)
-            start = max(p * p, ((low + p - 1) // p) * p)
-            if start < high:
-                mask[start - low :: p] = False
+            first = max(p * p, ((low + p - 1) // p) * p)
+            if first < high:
+                mask[first - low :: p] = False
         yield np.flatnonzero(mask) + low
         low = high
-
-
-def sieve_primes(cfg: SieveConfig) -> Iterator[int]:
-    """All primes <= limit in order."""
-    for seg in sieve_segments(cfg):
-        yield from (int(p) for p in seg)
-
-
-def primes_array(limit: int, segment_size: int = 1 << 20) -> np.ndarray:
-    segs = list(sieve_segments(SieveConfig(limit, segment_size)))
-    return np.concatenate(segs) if segs else np.array([], dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -82,18 +75,21 @@ class Verdict:
     violation_row: int | None = None
 
 
-def _write_checkpoint(path: str, limit: int, row_index: int, row: np.ndarray) -> None:
-    payload = row.tobytes()
-    digest = hashlib.sha256(payload).digest()
-    header = struct.pack(
-        "<4sIQQQB",
-        CHECKPOINT_MAGIC,
-        CHECKPOINT_VERSION,
-        limit,
-        row_index,
-        row.size,
-        row.dtype.itemsize,
-    )
+class Checkpoint(NamedTuple):
+    """Verifier state after a segment; a resume sieves again from last_prime + 1."""
+
+    limit: int
+    max_full_rows: int
+    last_prime: int
+    gaps_seen: int
+    stabilization_row: int  # 0 until the first window has run
+    tail: np.ndarray  # the last min(max_full_rows, gaps_seen) gaps, uint16
+
+
+def _write_checkpoint(path: str, ck: Checkpoint) -> None:
+    header = struct.pack(CHECKPOINT_HEADER, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, *ck[:-1])
+    payload = ck.tail.astype("<u2").tobytes()
+    digest = hashlib.sha256(header + payload).digest()
     # Write beside it and rename, so a crash never leaves a torn checkpoint.
     tmp = f"{path}.tmp"
     with open(tmp, "wb") as fh:
@@ -103,27 +99,38 @@ def _write_checkpoint(path: str, limit: int, row_index: int, row: np.ndarray) ->
     os.replace(tmp, path)
 
 
-def load_checkpoint(path: str) -> tuple[int, int, np.ndarray]:
-    """Read a checkpoint, returning (limit, row_index, row); hash-verified."""
+def load_checkpoint(path: str) -> Checkpoint:
+    """Read a checkpoint; its header and gaps are hash-verified."""
     with open(path, "rb") as fh:
         blob = fh.read()
-    head_len = struct.calcsize("<4sIQQQB")
-    magic, version, limit, row_index, row_len, itemsize = struct.unpack(
-        "<4sIQQQB", blob[:head_len]
-    )
-    if magic != CHECKPOINT_MAGIC:
+    if len(blob) < 8 or blob[:4] != CHECKPOINT_MAGIC:
         raise ValueError("not a checkpoint file")
+    _, version = struct.unpack("<4sI", blob[:8])
     if version != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version {version}")
-    digest = blob[head_len : head_len + 32]
-    payload = blob[head_len + 32 :]
-    if hashlib.sha256(payload).digest() != digest:
-        raise ValueError("checkpoint row bytes fail the integrity hash")
-    dtype = {1: np.uint8, 2: np.uint16, 8: np.int64}[itemsize]
-    row = np.frombuffer(payload, dtype=dtype)
-    if row.size != row_len:
+    head_len = struct.calcsize(CHECKPOINT_HEADER)
+    header, digest, payload = blob[:head_len], blob[head_len : head_len + 32], blob[head_len + 32 :]
+    # A truncated file fails here too: its digest slice is short or missing.
+    if hashlib.sha256(header + payload).digest() != digest:
+        raise ValueError("checkpoint fails the integrity hash")
+    ck = Checkpoint(*struct.unpack(CHECKPOINT_HEADER, header)[2:],
+                    np.frombuffer(payload, dtype="<u2").astype(np.uint16))
+    if ck.tail.size != min(ck.max_full_rows, ck.gaps_seen):
         raise ValueError("checkpoint length mismatch")
-    return int(limit), int(row_index), row.copy()
+    return ck
+
+
+def _window_stop(window: np.ndarray, first: bool, D: int) -> int | Verdict:
+    """The row where one window's iteration stops, or the verdict it forces."""
+    # A later window holds no column 1, so only {0,2} counts as stable there.
+    rule = StopRule(StopKind.FIRST_NOT_ONE_OR_STABLE) if first else StopRule.all_in_zero_d(2)
+    res = iterate_until(window, rule, D)
+    row = 1 + res.iterations
+    if res.reason != "stop":
+        return Verdict("inconclusive", D + 1, None, D)
+    if first and res.row[0] != 1:
+        return Verdict("violated", row - 1, None, row - 1, violation_row=row)
+    return row
 
 
 def verify_gilbreath(
@@ -135,59 +142,58 @@ def verify_gilbreath(
 ) -> Verdict:
     """Check that every difference-triangle row of the primes <= N starts with 1.
 
-    Iterates full rows, testing the stabilization predicate at each one; on
-    stabilization at row s the remaining rows are certified without being
-    built.  Without stabilization the scan continues row by row until the
-    triangle is exhausted or `max_full_rows` is hit (status "inconclusive").
-    The rows run through `iterate_until` in chunks that end at each multiple
-    of `checkpoint_every`, where the checkpoint is written.
+    D = `max_full_rows` caps the depth and is the overlap of the windows.  The
+    first window (more than D gaps, or all of them) stops on a leading entry
+    other than 1 or on a stable row; each later window, the last D gaps seen
+    and a segment's gaps, stops once it lies in {0,2}.  Stability survives
+    further steps, so the stabilization row is the deepest stop row of any
+    window.  A window that does not stop within D steps makes the verdict
+    "inconclusive".  The checkpoint is written after every
+    `checkpoint_every`-th segment.
     """
     if N < 3:
         raise ValueError("limit must be >= 3")
     if max_full_rows < 0:
         raise ValueError("max_full_rows must be >= 0")
-    # Row i exists for 1 <= i <= n_rows; row i has n_rows + 1 - i entries.
+    if checkpoint_every < 0:
+        raise ValueError("checkpoint_every must be >= 0")
+    if checkpoint_every and checkpoint_path is None:
+        raise ValueError("checkpoint_every requires a checkpoint path")
+    D = max_full_rows
     if resume:
         if checkpoint_path is None:
             raise ValueError("resume requires a checkpoint path")
-        ck_limit, i, row = load_checkpoint(checkpoint_path)
-        if ck_limit != N:
-            raise ValueError(f"checkpoint was taken at limit {ck_limit}, not {N}")
-        n_rows = i + row.size - 1
+        ck = load_checkpoint(checkpoint_path)
+        if ck.limit != N:
+            raise ValueError(f"checkpoint was taken at limit {ck.limit}, not {N}")
+        if ck.max_full_rows != D:
+            raise ValueError(f"checkpoint was taken with max_full_rows {ck.max_full_rows}, not {D}")
+        _, _, last, seen, S, tail = ck
     else:
-        gaps = np.diff(primes_array(N))
-        n_rows = gaps.size
-        row = gaps.astype(np.uint16 if int(gaps.max()) < 65536 else np.int64)
-        del gaps
-        # A zero-step run narrows to uint8 and frees the uint16 copy before the
-        # first step; that free lifts glibc's mmap and trim thresholds, so step
-        # temporaries are reused: 16k minor faults at N = 1e8, not 125k.
-        row = iterate_until(row, StopRule(StopKind.NONE), 0).row
-        i = 1
-
-    every = checkpoint_every if checkpoint_path else 0
-    iterated = 0
-    while True:
-        budget = max_full_rows - iterated
-        if every:
-            budget = min(budget, every - i % every)
-        res = iterate_until(row, StopRule(StopKind.FIRST_NOT_ONE_OR_STABLE), budget)
-        row, i, iterated = res.row, i + res.iterations, iterated + res.iterations
-        if every and i % every == 0 and res.iterations:  # even on the row that decides
-            _write_checkpoint(checkpoint_path, N, i, row)
-        if res.reason != "budget":
-            if row[0] != 1:
-                return Verdict("violated", i - 1, None, iterated, violation_row=i)
-            # Every length-1 row stops the rule: [1] is stable, any other is not 1.
-            return Verdict("verified", n_rows, i, iterated)
-        if iterated >= max_full_rows:
-            return Verdict("inconclusive", i, None, iterated)
+        last, seen, S, tail = 2, 0, 0, np.empty(0, dtype=np.uint16)
+    for k, seg in enumerate(sieve_segments(SieveConfig(N), start=last + 1), 1):
+        if seg.size:
+            gaps = np.diff(seg, prepend=last)
+            if int(gaps.max()) > np.iinfo(np.uint16).max:
+                raise ValueError(f"prime gap {int(gaps.max())} does not fit in uint16")
+            window = np.concatenate([tail, gaps.astype(np.uint16)])
+            last, seen = int(seg[-1]), seen + gaps.size
+            if S or window.size > D:
+                stop = _window_stop(window, not S, D)
+                if isinstance(stop, Verdict):
+                    return stop
+                S = max(S, stop)
+            tail = window[-D:] if D else window[:0]
+        if checkpoint_every and k % checkpoint_every == 0:
+            _write_checkpoint(checkpoint_path, Checkpoint(N, D, last, seen, S, tail))
+    if not S:  # the sieve ended within D gaps: they all form the first window
+        S = _window_stop(tail, True, D)
+    return S if isinstance(S, Verdict) else Verdict("verified", seen, S, S - 1)
 
 
 def naive_first_column(N: int) -> list[int]:
     """First entry of every triangle row, by building the whole triangle (test oracle)."""
-    primes = primes_array(N)
-    row = np.diff(primes)
+    row = np.diff(np.concatenate(list(sieve_segments(SieveConfig(N)))))
     firsts = [int(row[0])]
     while row.size > 1:
         row = step_array(row)

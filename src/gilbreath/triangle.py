@@ -253,7 +253,3 @@ class ParityRow:
 
     def to_list(self) -> list[int]:
         return [(self.bits >> j) & 1 for j in range(self.length)]
-
-
-def parity_step(p: ParityRow) -> ParityRow:
-    return p.step()

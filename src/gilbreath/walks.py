@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .triangle import batch_ultimate, enumerate_rows
 
@@ -64,10 +64,6 @@ class Coloring:
     def __post_init__(self) -> None:
         if any(not 0 <= v < self.n for v in self.red):
             raise ValueError("red vertex out of range")
-
-    @classmethod
-    def from_flags(cls, flags: Sequence[bool]) -> "Coloring":
-        return cls(len(flags), frozenset(v for v, f in enumerate(flags) if f))
 
 
 @dataclass(frozen=True)

@@ -1,30 +1,73 @@
+import hashlib
+import json
+import struct
 from itertools import product
 
 import numpy as np
 import pytest
 
 from gilbreath import primes
+from gilbreath.cli import main
 from gilbreath.primes import (
     SieveConfig,
+    Verdict,
     load_checkpoint,
     naive_first_column,
-    primes_array,
-    sieve_primes,
+    sieve_segments,
     stabilization_predicate,
     verify_gilbreath,
 )
+from gilbreath.triangle import StopKind
+
+
+def sieved(limit: int, segment_size: int = 1 << 20, start: int = 2) -> list[int]:
+    segs = list(sieve_segments(SieveConfig(limit, segment_size), start))
+    return np.concatenate(segs).tolist() if segs else []
+
+
+def full_row_verdict(N: int, D: int) -> Verdict:
+    """Reference: difference the whole gap row, stopping on the verifier's rule."""
+    gaps = np.diff(np.concatenate(list(primes.sieve_segments(SieveConfig(N)))))
+    row, r = gaps, 1
+    while True:
+        if row[0] != 1:
+            return Verdict("violated", r - 1, None, r - 1, violation_row=r)
+        if stabilization_predicate(row):
+            return Verdict("verified", gaps.size, r, r - 1)
+        if r > D:
+            return Verdict("inconclusive", r, None, D)
+        row, r = np.abs(np.diff(row)), r + 1
+
+
+def use_segment_size(monkeypatch, size: int) -> None:
+    sieve = primes.sieve_segments
+    monkeypatch.setattr(primes, "sieve_segments",
+                        lambda cfg, start=2: sieve(SieveConfig(cfg.limit, size), start))
+
+
+def use_stream(monkeypatch, values: list[int], chunk: int = 7) -> None:
+    """Replace the sieve by `values` (primes or not), `chunk` to a segment."""
+    def fake(cfg, start=2):
+        kept = np.array([v for v in values if v >= start], dtype=np.int64)
+        for i in range(0, kept.size, chunk):
+            yield kept[i : i + chunk]
+
+    monkeypatch.setattr(primes, "sieve_segments", fake)
 
 
 def test_sieve_small():
-    assert list(sieve_primes(SieveConfig(17))) == [2, 3, 5, 7, 11, 13, 17]
-    assert list(sieve_primes(SieveConfig(10))) == [2, 3, 5, 7]
-    assert list(sieve_primes(SieveConfig(2))) == [2]
+    assert sieved(17) == [2, 3, 5, 7, 11, 13, 17]
+    assert sieved(10) == [2, 3, 5, 7]
+    assert sieved(2) == [2]
+    assert sieved(100, start=50) == [53, 59, 61, 67, 71, 73, 79, 83, 89, 97]
+    assert sieved(100, start=101) == []
 
 
 def test_sieve_counts():
-    assert len(primes_array(10**6)) == 78498
-    # segment boundaries must not lose primes
-    assert primes_array(10**5, segment_size=101).tolist() == primes_array(10**5).tolist()
+    assert len(sieved(10**6)) == 78498
+    # segment boundaries must not lose primes, from any start
+    assert sieved(10**5, segment_size=101) == sieved(10**5)
+    assert sieved(10**5, segment_size=101, start=4999) == [p for p in sieved(10**5) if p >= 4999]
 
 
 def test_sieve_config_validation():
@@ -85,6 +128,12 @@ def test_verify_small_limits():
     assert v.stabilization_row == 1  # single gap row [1]
 
 
+@pytest.mark.parametrize("limit, row", [(10**6, 95), (10**7, 135)])
+def test_stabilization_rows(limit, row):
+    v = verify_gilbreath(limit)
+    assert (v.status, v.stabilization_row, v.rows_iterated) == ("verified", row, row - 1)
+
+
 def test_verify_agrees_with_naive_oracle():
     for limit in (10, 100, 1000, 10_000):
         firsts = naive_first_column(limit)
@@ -94,32 +143,113 @@ def test_verify_agrees_with_naive_oracle():
         assert v.verified_rows == len(firsts)
 
 
+GRID_N = (3, 5, 17, 100, 1000, 10**4, 5 * 10**4, 10**5, 10**6)
+GRID_D = (0, 1, 3, 10, 39, 60, 100, 10_000)
+
+
+@pytest.mark.parametrize("segment_size", (64, 1000, 2**14, 2**20))
+def test_windows_match_full_row_oracle(monkeypatch, segment_size):
+    # Left out: 64-number segments at N = 1e6 with D = 100 and 10,000 make
+    # 15,625 windows of D + ~4 gaps each, about 30 s for the two cases.
+    cases = [(N, D) for N, D in product(GRID_N, GRID_D)
+             if not (segment_size == 64 and N == 10**6 and D >= 100)]
+    expected = {case: full_row_verdict(*case) for case in cases}
+    use_segment_size(monkeypatch, segment_size)
+    for N, D in cases:
+        assert verify_gilbreath(N, max_full_rows=D) == expected[N, D], (N, D)
+    assert {v.status for v in expected.values()} == {"verified", "inconclusive"}
+
+
+def test_later_window_out_of_budget(monkeypatch):
+    # The first segment's 167 gaps settle at row 15, but the triangle of the
+    # primes up to 1e5 stabilizes only at row 65, beyond D + 1 = 40.
+    use_segment_size(monkeypatch, 1000)
+    runs = []
+    iterate = primes.iterate_until
+
+    def spy(row, stop, max_iters):
+        res = iterate(row, stop, max_iters)
+        runs.append((stop.kind, res.reason, res.iterations))
+        return res
+
+    monkeypatch.setattr(primes, "iterate_until", spy)
+    v = verify_gilbreath(10**5, max_full_rows=39)
+    assert v == Verdict("inconclusive", 40, None, 39) == full_row_verdict(10**5, 39)
+    assert runs[0] == (StopKind.FIRST_NOT_ONE_OR_STABLE, "stop", 14)
+    assert runs[-1] == (StopKind.ALL_IN_ZERO_D, "budget", 39)
+
+
+# The primes up to 1000 with every one from 73 on moved up by 32: the leading
+# column first leaves 1 at row 22.
+CRAFTED = [p if p < 73 else p + 32 for p in sieved(1000)]
+
+
+@pytest.mark.parametrize("D", [10, 20, 21, 30, 10_000])
+def test_violation_matches_first_column(monkeypatch, D):
+    use_stream(monkeypatch, CRAFTED)
+    firsts = naive_first_column(1000)
+    first_bad = 1 + next(i for i, f in enumerate(firsts) if f != 1)
+    assert first_bad == 22
+    v = verify_gilbreath(1000, max_full_rows=D)
+    assert v == full_row_verdict(1000, D)
+    if D + 1 >= first_bad:
+        assert (v.status, v.violation_row, v.rows_iterated) == ("violated", 22, 21)
+    else:
+        assert v.status == "inconclusive"
+
+
+def test_violation_exits_2_with_reproducer(monkeypatch, capsys):
+    use_stream(monkeypatch, CRAFTED)
+    assert main(["primes", "--limit", "1000"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err[0].startswith("FINDING: leading entry != 1")
+    assert json.loads(err[1])["reproducer"] == {"limit": 1000, "row": 22}
+
+
+def test_gap_beyond_uint16_raises(monkeypatch):
+    use_stream(monkeypatch, [2, 3, 5, 7, 7 + 70_000])
+    with pytest.raises(ValueError, match="uint16"):
+        verify_gilbreath(10**5)
+
+
 def test_verify_budget_exhaustion():
     v = verify_gilbreath(10_000, max_full_rows=3)
     assert v.status == "inconclusive"
     assert v.rows_iterated == 3
     with pytest.raises(ValueError, match="max_full_rows"):
         verify_gilbreath(10_000, max_full_rows=-1)
+    with pytest.raises(ValueError, match="checkpoint_every"):
+        verify_gilbreath(10_000, checkpoint_path="unused", checkpoint_every=-1)
+    with pytest.raises(ValueError, match="checkpoint path"):
+        verify_gilbreath(10_000, checkpoint_every=5)
 
 
 @pytest.mark.parametrize("limit, every, max_rows, status, last_row", [
-    (50_000, 5, 10_000, "verified", 57),  # stabilizes between two multiples
-    (100_000, 5, 10_000, "verified", 65),  # stabilizes on a multiple
+    (50_000, 5, 10_000, "verified", 57),
+    (100_000, 5, 10_000, "verified", 65),
     (1000, 1, 10_000, "verified", 15),
-    (1_000_000, 10, 39, "inconclusive", 40),  # the row budget ends on a multiple
+    (1_000_000, 10, 39, "inconclusive", 40),  # a later window runs out of its 39 steps
 ])
 def test_checkpoint_rows(monkeypatch, limit, every, max_rows, status, last_row):
-    # A checkpoint at every multiple of `every` reached by a step, the last
-    # row included: it is written before the verdict.
+    # With 64-number segments from 3 on, segment i ends at 2 + 64 i; the
+    # state after it is the state of a run to that limit.
+    use_segment_size(monkeypatch, 64)
     written = []
-    monkeypatch.setattr(primes, "_write_checkpoint",
-                        lambda path, N, row_index, row: written.append((row_index, row.size)))
+    monkeypatch.setattr(primes, "_write_checkpoint", lambda path, ck: written.append(ck))
     v = verify_gilbreath(limit, max_full_rows=max_rows, checkpoint_path="unused",
                          checkpoint_every=every)
     row = v.stabilization_row if status == "verified" else v.verified_rows
     assert (v.status, row, v.rows_iterated) == (status, last_row, last_row - 1)
-    n_rows = len(primes_array(limit)) - 1
-    assert written == [(i, n_rows + 1 - i) for i in range(every, last_row + 1, every) if i > 1]
+    if status == "verified":
+        assert len(written) == -(-(limit - 2) // 64) // every
+    assert written
+    ps = np.array(sieved(limit))
+    for i, ck in zip(range(every, 10**9, every), written):
+        end = min(2 + 64 * i, limit)
+        gaps = np.diff(ps[ps <= end])
+        settled = full_row_verdict(end, max_rows).stabilization_row if gaps.size > max_rows else 0
+        assert ck[:-1] == (limit, max_rows, ps[ps <= end][-1], gaps.size, settled)
+        assert ck.tail.dtype == np.uint16 and ck.tail.tolist() == gaps[-max_rows:].tolist()
 
 
 def test_verify_deterministic():
@@ -129,43 +259,106 @@ def test_verify_deterministic():
     assert a.status == "verified"
 
 
-def test_checkpoint_round_trip(tmp_path):
+def test_checkpoint_round_trip(tmp_path, monkeypatch):
+    use_segment_size(monkeypatch, 1000)
     path = str(tmp_path / "ck.bin")
     full = verify_gilbreath(50_000, checkpoint_path=path, checkpoint_every=5)
-    limit, row_index, row = load_checkpoint(path)
-    assert limit == 50_000 and row_index % 5 == 0 and row.size > 0
+    ck = load_checkpoint(path)
+    # The 50th and last segment ends at 50,002; the first window is still open.
+    assert ck[:-1] == (50_000, 10_000, 49_999, 5132, 0)
+    assert ck.tail.tolist() == np.diff(sieved(50_000)).tolist()
     resumed = verify_gilbreath(50_000, checkpoint_path=path, resume=True)
-    assert resumed.status == full.status == "verified"
-    assert resumed.stabilization_row == full.stabilization_row
+    assert resumed == full
+    assert full.status == "verified"
 
 
 def test_resume_reads_the_checkpoint_not_the_sieve(tmp_path, monkeypatch):
+    # A resume sieves only from the checkpoint's last prime + 1.
+    use_segment_size(monkeypatch, 1000)
     path = tmp_path / "ck.bin"
-    fresh = verify_gilbreath(50_000, checkpoint_path=str(path), checkpoint_every=5)
+    fresh = verify_gilbreath(50_000, max_full_rows=60, checkpoint_path=str(path),
+                             checkpoint_every=7)
     # Checkpoints are written beside the file and renamed into place.
     assert list(tmp_path.iterdir()) == [path]
+    ck = load_checkpoint(str(path))
+    assert ck.last_prime == 48_991  # the 49th segment ends at 49,002
 
-    def no_sieve(*args, **kwargs):
-        raise AssertionError("resume sieved the primes again")
+    starts = []
+    sieve = primes.sieve_segments
 
-    monkeypatch.setattr(primes, "primes_array", no_sieve)
-    resumed = verify_gilbreath(50_000, checkpoint_path=str(path), resume=True)
-    assert (resumed.status, resumed.verified_rows, resumed.stabilization_row) == (
-        fresh.status, fresh.verified_rows, fresh.stabilization_row)
+    def spy(cfg, start=2):
+        starts.append(start)
+        return sieve(cfg, start)
+
+    monkeypatch.setattr(primes, "sieve_segments", spy)
+    resumed = verify_gilbreath(50_000, max_full_rows=60, checkpoint_path=str(path), resume=True)
+    assert starts == [48_992]
+    assert resumed == fresh
 
 
-def test_checkpoint_rejects_wrong_limit(tmp_path):
+def test_resume_after_interrupted_run(tmp_path, monkeypatch):
+    use_segment_size(monkeypatch, 1000)
+    path = str(tmp_path / "ck.bin")
+    uninterrupted = verify_gilbreath(100_000, max_full_rows=70)
+    write = primes._write_checkpoint
+    calls = []
+
+    def crash_on_second(p, ck):
+        calls.append(ck)
+        if len(calls) == 2:
+            raise RuntimeError("killed")
+        write(p, ck)
+
+    monkeypatch.setattr(primes, "_write_checkpoint", crash_on_second)
+    with pytest.raises(RuntimeError, match="killed"):
+        verify_gilbreath(100_000, max_full_rows=70, checkpoint_path=path, checkpoint_every=4)
+    ck = load_checkpoint(path)
+    assert ck.last_prime < 4003 and 0 < ck.stabilization_row  # after segment 4 of 100
+    monkeypatch.setattr(primes, "_write_checkpoint", write)
+    assert verify_gilbreath(100_000, max_full_rows=70, checkpoint_path=path,
+                            resume=True) == uninterrupted
+
+
+def test_checkpoint_rejects_wrong_limit(tmp_path, monkeypatch):
+    use_segment_size(monkeypatch, 1000)
     path = str(tmp_path / "ck.bin")
     verify_gilbreath(50_000, checkpoint_path=path, checkpoint_every=5)
     with pytest.raises(ValueError, match="limit"):
         verify_gilbreath(60_000, checkpoint_path=path, resume=True)
+    with pytest.raises(ValueError, match="max_full_rows"):
+        verify_gilbreath(50_000, max_full_rows=100, checkpoint_path=path, resume=True)
 
 
-def test_checkpoint_detects_corruption(tmp_path):
+def test_checkpoint_detects_corruption(tmp_path, monkeypatch):
+    use_segment_size(monkeypatch, 1000)
     path = str(tmp_path / "ck.bin")
     verify_gilbreath(50_000, checkpoint_path=path, checkpoint_every=5)
-    blob = bytearray(open(path, "rb").read())
-    blob[-1] ^= 0xFF
-    open(path, "wb").write(bytes(blob))
-    with pytest.raises(ValueError, match="integrity"):
-        load_checkpoint(path)
+    good = open(path, "rb").read()
+    # The last gap, then the stored stabilization row in the header.
+    for offset in (len(good) - 1, struct.calcsize(primes.CHECKPOINT_HEADER) - 1):
+        blob = bytearray(good)
+        blob[offset] ^= 0xFF
+        open(path, "wb").write(bytes(blob))
+        with pytest.raises(ValueError, match="integrity"):
+            load_checkpoint(path)
+
+
+def test_version_1_checkpoint_exits_1(tmp_path, capsys):
+    # The row checkpoint of earlier releases: header, sha256 of the row, row.
+    row = np.ones(10, dtype=np.uint8)
+    header = struct.pack("<4sIQQQB", b"GILB", 1, 50_000, 5, row.size, 1)
+    path = tmp_path / "ck.bin"
+    path.write_bytes(header + hashlib.sha256(row.tobytes()).digest() + row.tobytes())
+    assert main(["primes", "--limit", "50000", "--checkpoint", str(path), "--resume"]) == 1
+    assert "error: unsupported checkpoint version 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--checkpoint", "ck.bin", "--checkpoint-every", "-5"], "checkpoint_every must be >= 0"),
+    (["--checkpoint-every", "3"], "checkpoint_every requires a checkpoint path"),
+], ids=["negative-every", "every-without-checkpoint"])
+def test_bad_checkpoint_options_exit_1(tmp_path, monkeypatch, capsys, argv, message):
+    monkeypatch.chdir(tmp_path)
+    assert main(["primes", "--limit", "1000", *argv]) == 1
+    assert f"error: {message}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []

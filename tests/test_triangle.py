@@ -12,7 +12,6 @@ from gilbreath.triangle import (
     diff_step,
     enumerate_rows,
     iterate_until,
-    parity_step,
     step_array,
     ultimate_iterate,
     validate_row,
@@ -127,8 +126,8 @@ def test_history_from_row_checks():
 
 
 def test_parity_step_examples():
-    assert parity_step(ParityRow.from_row([1, 0, 1, 1])).to_list() == [1, 1, 0]
-    assert parity_step(ParityRow.from_row([0, 0, 0, 0])).to_list() == [0, 0, 0]
+    assert ParityRow.from_row([1, 0, 1, 1]).step().to_list() == [1, 1, 0]
+    assert ParityRow.from_row([0, 0, 0, 0]).step().to_list() == [0, 0, 0]
     p = ParityRow.from_row([2, 3, 5, 7, 11, 13, 17]).step()
     assert p.to_list() == [1, 0, 0, 0, 0, 0]
     with pytest.raises(RowExhaustedError):
