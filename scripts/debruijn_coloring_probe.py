@@ -19,10 +19,10 @@ from gilbreath.walks import (
 )
 
 
-def min_slack(g, col, lengths):
+def min_slack(g, red, lengths):
     worst = None
     for L in lengths:
-        v = check_bootstrap(g, col, L)  # c = the all-red probability at L
+        v = check_bootstrap(g, red, L)  # c = the all-red probability at L
         if not v.hypothesis_met or v.threshold == 0:
             continue
         slack = Fraction(v.long_probability, v.threshold)
@@ -47,19 +47,19 @@ def main() -> None:
     observed = []
     for r in range(1, args.C):
         for targets in combinations(range(args.C), r):
-            col = ultimate_iterate_coloring(args.C, args.k, targets)
-            if not col.red or len(col.red) == g.n:
+            red = ultimate_iterate_coloring(args.C, args.k, targets)
+            if not red.any() or red.all():
                 continue
-            worst = min_slack(g, col, lengths)
+            worst = min_slack(g, red, lengths)
             if worst:
-                print(f"targets {set(targets)}: |red|={len(col.red):>4}  "
+                print(f"targets {set(targets)}: |red|={int(red.sum()):>4}  "
                       f"min slack {float(worst[0]):9.3f} at L={worst[1]}")
                 observed.append(worst[0])
 
     rng = random.Random(args.seed)
     for _ in range(args.random_colorings):
-        col = random_coloring(g.n, rng, red_fraction=rng.uniform(0.1, 0.9))
-        worst = min_slack(g, col, lengths)
+        red = random_coloring(g.n, rng, red_fraction=rng.uniform(0.1, 0.9))
+        worst = min_slack(g, red, lengths)
         if worst:
             observed.append(worst[0])
 

@@ -1,7 +1,6 @@
 """Absolute-difference triangle toolkit: Gilbreath-style verification and experiments."""
 
 from .triangle import (
-    ParityRow,
     Row,
     RowExhaustedError,
     StopRule,
@@ -20,7 +19,6 @@ from .blocks import (
     longest_block,
 )
 from .walks import (
-    Coloring,
     RegularDigraph,
     WalkProbability,
     all_red_probability,

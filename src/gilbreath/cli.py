@@ -23,6 +23,8 @@ import time
 from fractions import Fraction
 from typing import Iterable, Iterator
 
+import numpy as np
+
 from . import __version__, experiments, lifting, parity, primes, walks
 from .blocks import BlockSpec, check_block_destruction, detect_event_cascade, longest_block
 from .triangle import Finding, StopKind, StopRule, TriangleHistory, iterate_until, validate_row
@@ -240,40 +242,40 @@ def _cmd_blocks(args) -> list[Group]:
     return groups
 
 
-def _build_graph(args, rng_seed: int) -> tuple[walks.RegularDigraph, walks.Coloring, dict]:
+def _build_graph(args, rng_seed: int) -> tuple[walks.RegularDigraph, np.ndarray, dict]:
     import random as _random
 
     if args.graph is not None:
         with open(args.graph) as fh:
-            g, col = walks.parse_walk_instance(fh.read())
-        if col is None:
+            g, red = walks.parse_walk_instance(fh.read())
+        if red is None:
             raise ValueError("graph file must end with a coloring line of 'r'/'b'")
-        return g, col, {"graph": args.graph}
+        return g, red, {"graph": args.graph}
     if args.cycle is not None:
         n = args.cycle
-        g, col, L, c, long_prob = walks.remark_counterexample(n)
+        g, red, L, c, long_prob = walks.remark_counterexample(n)
         print(f"cycle n={n}: red first {n // 10}, L={L}, c={c}, "
               f"all-red probability at 5L: {long_prob.value}")
-        return g, col, {"cycle": n}
+        return g, red, {"cycle": n}
     if args.debruijn is not None:
         C, k = _parse_int_pair(args.debruijn)
         targets = _parse_values(args.targets) if args.targets else [0]
         g = walks.debruijn_graph(C, k)
-        col = walks.ultimate_iterate_coloring(C, k, targets)
-        return g, col, {"debruijn": [C, k], "targets": targets}
+        red = walks.ultimate_iterate_coloring(C, k, targets)
+        return g, red, {"debruijn": [C, k], "targets": targets}
     if args.random_graph is not None:
         n, d = _parse_int_pair(args.random_graph)
         rng = _random.Random(rng_seed)
         g = walks.random_regular_digraph(n, d, rng)
-        col = walks.random_coloring(n, rng, args.red_fraction)
-        return g, col, {"random": [n, d], "red_fraction": args.red_fraction}
+        red = walks.random_coloring(n, rng, args.red_fraction)
+        return g, red, {"random": [n, d], "red_fraction": args.red_fraction}
     raise ValueError("bootstrap: give one of --graph/--cycle/--debruijn/--random")
 
 
 def _cmd_bootstrap(args) -> list[Group]:
-    g, col, source = _build_graph(args, args.seed)
+    g, red, source = _build_graph(args, args.seed)
     L = args.length
-    verdict = walks.check_bootstrap(g, col, L, args.c)
+    verdict = walks.check_bootstrap(g, red, L, args.c)
     c = args.c if args.c is not None else verdict.short_probability
     params = dict(source, n=g.n, d=g.d, length=L, c=str(c))
     result = {
@@ -294,7 +296,7 @@ def _cmd_bootstrap(args) -> list[Group]:
         print(f"hypothesis unmet: P(L) < c = {c}")
     if verdict.hypothesis_met and not verdict.holds:
         raise Finding("bootstrap conclusion falsified",
-                      {"graph": walks.format_walk_instance(g, col), "L": L, "c": str(c)})
+                      {"graph": walks.format_walk_instance(g, red), "L": L, "c": str(c)})
     return [("bootstrap", params, [result])]
 
 
@@ -457,7 +459,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="depth cap D; each sieve window overlaps the one before by D gaps")
     p.add_argument("--checkpoint", help="checkpoint file path")
     p.add_argument("--checkpoint-every", type=int, default=0, metavar="K",
-                   help="write --checkpoint after every K-th sieve segment (0: never)")
+                   help="write --checkpoint after every K-th sieve segment; "
+                        "needed with --checkpoint unless --resume")
     p.add_argument("--resume", action="store_true", help="resume from --checkpoint")
     common(p)
 

@@ -14,8 +14,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .triangle import ParityRow
-
 
 @dataclass(frozen=True)
 class ParityMask:
@@ -78,7 +76,8 @@ def parity_of_ultimate(row: Sequence[int]) -> int:
     """Parity of the ultimate iterate, from initial parities alone."""
     if len(row) == 0:
         raise ValueError("row must have length >= 1")
-    return (mask(len(row) - 1).bits & ParityRow.from_row(row).bits).bit_count() & 1
+    bits = int("".join(str(int(v) & 1) for v in reversed(row)), 2)  # bit j <-> row[j]
+    return (mask(len(row) - 1).bits & bits).bit_count() & 1
 
 
 def prob_even(C: int, i: int) -> Fraction:

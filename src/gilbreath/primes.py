@@ -149,7 +149,8 @@ def verify_gilbreath(
     further steps, so the stabilization row is the deepest stop row of any
     window.  A window that does not stop within D steps makes the verdict
     "inconclusive".  The checkpoint is written after every
-    `checkpoint_every`-th segment.
+    `checkpoint_every`-th segment; a checkpoint path without it is an error
+    unless the run resumes from that path.
     """
     if N < 3:
         raise ValueError("limit must be >= 3")
@@ -159,6 +160,8 @@ def verify_gilbreath(
         raise ValueError("checkpoint_every must be >= 0")
     if checkpoint_every and checkpoint_path is None:
         raise ValueError("checkpoint_every requires a checkpoint path")
+    if checkpoint_path is not None and not checkpoint_every and not resume:
+        raise ValueError("a checkpoint path needs checkpoint_every >= 1 (or resume)")
     D = max_full_rows
     if resume:
         if checkpoint_path is None:

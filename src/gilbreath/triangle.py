@@ -229,27 +229,3 @@ def iterate_until(
     history = TriangleHistory(rows) if retain else None
     return IterationResult(iters, cur if as_array else cur.tolist(), reason, firsts, history)
 
-
-@dataclass(frozen=True)
-class ParityRow:
-    """A row reduced mod 2, packed into an int (bit j = parity of position j)."""
-
-    bits: int
-    length: int
-
-    @classmethod
-    def from_row(cls, row: Sequence[int]) -> "ParityRow":
-        bits = 0
-        for j, v in enumerate(row):
-            bits |= (int(v) & 1) << j
-        return cls(bits, len(row))
-
-    def step(self) -> "ParityRow":
-        """Adjacent-XOR step; commutes with differencing then reducing mod 2."""
-        if self.length < 2:
-            raise RowExhaustedError("row exhausted: cannot step a length-1 parity row")
-        n = self.length - 1
-        return ParityRow((self.bits ^ (self.bits >> 1)) & ((1 << n) - 1), n)
-
-    def to_list(self) -> list[int]:
-        return [(self.bits >> j) & 1 for j in range(self.length)]

@@ -40,11 +40,19 @@ GOLDEN = [
      "7be5ddee48cc176fde34962ab9afe249b72a6ecc47f8ac8b7cbf9839b519c786"),
     (("bootstrap", "--debruijn", "3,4", "--targets", "0,2", "--length", "12"),
      "69d4bf47ca8ca73b1b4ee58b8821aa81d9170eb23befa9e557be8764d81f39e3"),
+    # Every other generated graph source: the cycle remark and seeded random graphs.
+    (("bootstrap", "--cycle", "200", "--length", "10", "--c", "1/20"),
+     "34d3aee0d2f9ae7d52478d1435884bd03bce3ba8c82aa6a4f009482e23c39e51"),
+    (("bootstrap", "--random", "12,3", "--length", "6", "--seed", "5"),
+     "df7bc8dca5e8477bd560df3782f136984d415e00b424ac601be6a99c101d5bb3"),
+    (("bootstrap", "--random", "40,4", "--red-fraction", "0.7", "--length", "9"),
+     "de01f362b63daad5ee56815264e388951b11238b72b006e5897058b75da0aaf3"),
 ]
 
 
-# The first two arguments, then the value of --format or --stop if given.
-IDS = [" ".join(a[:2]) + "".join(f" {a[a.index(opt) + 1]}" for opt in ("--format", "--stop")
+# The first two arguments, then the value of --format, --stop or --red-fraction if given.
+IDS = [" ".join(a[:2]) + "".join(f" {a[a.index(opt) + 1]}"
+                                 for opt in ("--format", "--stop", "--red-fraction")
                                  if opt in a) for a, _ in GOLDEN]
 
 

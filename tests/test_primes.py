@@ -222,6 +222,8 @@ def test_verify_budget_exhaustion():
         verify_gilbreath(10_000, checkpoint_path="unused", checkpoint_every=-1)
     with pytest.raises(ValueError, match="checkpoint path"):
         verify_gilbreath(10_000, checkpoint_every=5)
+    with pytest.raises(ValueError, match="checkpoint_every >= 1"):
+        verify_gilbreath(10_000, checkpoint_path="unused")
 
 
 @pytest.mark.parametrize("limit, every, max_rows, status, last_row", [
@@ -356,7 +358,8 @@ def test_version_1_checkpoint_exits_1(tmp_path, capsys):
 @pytest.mark.parametrize("argv, message", [
     (["--checkpoint", "ck.bin", "--checkpoint-every", "-5"], "checkpoint_every must be >= 0"),
     (["--checkpoint-every", "3"], "checkpoint_every requires a checkpoint path"),
-], ids=["negative-every", "every-without-checkpoint"])
+    (["--checkpoint", "ck.bin"], "a checkpoint path needs checkpoint_every >= 1"),
+], ids=["negative-every", "every-without-checkpoint", "checkpoint-without-every"])
 def test_bad_checkpoint_options_exit_1(tmp_path, monkeypatch, capsys, argv, message):
     monkeypatch.chdir(tmp_path)
     assert main(["primes", "--limit", "1000", *argv]) == 1

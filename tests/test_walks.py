@@ -1,13 +1,16 @@
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gilbreath.triangle import ultimate_iterate
 from gilbreath.walks import (
-    Coloring,
     RegularDigraph,
+    _red_walk_totals,
     all_red_probability,
     check_bootstrap,
     debruijn_graph,
@@ -21,60 +24,102 @@ from gilbreath.walks import (
 
 
 def two_vertex_complete():
-    return RegularDigraph(2, 2, ((0, 1), (0, 1)))
+    return RegularDigraph([[0, 1], [0, 1]])
 
 
-def brute_all_red(g, col, L):
+def list_dp_totals(g, red, L):
+    # The list DP the array DP replaced: push each vertex's red-only walk
+    # count along its out-edges, one length at a time.
+    succ, red = g.succ.tolist(), [bool(r) for r in red]
+    vec = [1 if r else 0 for r in red]
+    totals = [sum(vec)]
+    while len(totals) < L:
+        new = [0] * g.n
+        for u, c in enumerate(vec):
+            if c:
+                for w in succ[u]:
+                    if red[w]:
+                        new[w] += c
+        vec = new
+        totals.append(sum(new))
+    return totals
+
+
+def brute_all_red(g, red, L):
     # Exhaustive walk enumeration.
     count = 0
     for start in range(g.n):
-        stack = [(start, 1)] if start in col.red else []
+        stack = [(start, 1)] if red[start] else []
         while stack:
             v, length = stack.pop()
             if length == L:
                 count += 1
                 continue
-            for w in g.out_edges[v]:
-                if w in col.red:
+            for w in g.succ[v]:
+                if red[w]:
                     stack.append((w, length + 1))
     return Fraction(count, g.n * g.d ** (L - 1))
 
 
 def test_regularity_validation():
     with pytest.raises(ValueError, match="out-degree"):
-        RegularDigraph(2, 2, ((0,), (0, 1)))
+        RegularDigraph([[0], [0, 1]])
     with pytest.raises(ValueError, match="multi-edge"):
-        RegularDigraph(2, 2, ((0, 0), (0, 1)))
+        RegularDigraph([[0, 0], [0, 1]])
     with pytest.raises(ValueError, match="in-degree"):
-        RegularDigraph(3, 1, ((1,), (0,), (0,)))
+        RegularDigraph([[1], [0], [0]])
+    with pytest.raises(ValueError, match="n >= 1 and d >= 1"):
+        RegularDigraph(np.empty((0, 1), dtype=np.int64))
+
+
+@pytest.mark.parametrize("succ", [[[1], [2]], [[1], [-1]], [[0, 1], [2**70, 0]]],
+                         ids=["too-large", "negative", "beyond-int64"])
+def test_successor_out_of_range(succ):
+    with pytest.raises(ValueError):
+        RegularDigraph(succ)
+
+
+def test_coloring_length_must_be_n():
+    g = two_vertex_complete()
+    for red in (np.array([True]), np.array([True, False, True]), np.array([1, 0])):
+        with pytest.raises(ValueError, match="bool array of length n = 2"):
+            all_red_probability(g, red, 3)
+        with pytest.raises(ValueError, match="bool array of length n = 2"):
+            check_bootstrap(g, red, 3)
+
+
+def test_walk_length_must_be_positive():
+    g = two_vertex_complete()
+    with pytest.raises(ValueError, match="walk length"):
+        all_red_probability(g, np.array([True, True]), 0)
+    with pytest.raises(ValueError, match="walk length"):
+        check_bootstrap(g, np.array([True, True]), 0)
 
 
 def test_all_red_both_red():
     g = two_vertex_complete()
-    col = Coloring(2, frozenset({0, 1}))
+    red = np.array([True, True])
     for L in (1, 3, 5):
-        assert all_red_probability(g, col, L).value == 1
+        assert all_red_probability(g, red, L).value == 1
 
 
 def test_all_red_one_red():
     g = two_vertex_complete()
-    col = Coloring(2, frozenset({0}))
-    assert all_red_probability(g, col, 5).value == Fraction(1, 32)
+    assert all_red_probability(g, np.array([True, False]), 5).value == Fraction(1, 32)
 
 
 def test_all_red_empty():
     g = two_vertex_complete()
-    col = Coloring(2, frozenset())
-    assert all_red_probability(g, col, 4).value == 0
+    assert all_red_probability(g, np.zeros(2, dtype=bool), 4).value == 0
 
 
 def test_cycle_remark_instance():
-    g, col, L, c, long_prob = remark_counterexample(200)
+    g, red, L, c, long_prob = remark_counterexample(200)
     assert (L, c) == (10, Fraction(1, 20))
-    assert all_red_probability(g, col, L).value == Fraction(11, 200)
+    assert all_red_probability(g, red, L).value == Fraction(11, 200)
     assert long_prob.value == 0
-    assert all_red_probability(g, col, 100).value == 0
-    v = check_bootstrap(g, col, L, c)
+    assert all_red_probability(g, red, 100).value == 0
+    v = check_bootstrap(g, red, L, c)
     assert v.hypothesis_met and v.holds
 
 
@@ -90,33 +135,31 @@ def test_remark_requires_multiple_of_20():
 
 def test_bootstrap_trivial_all_red():
     g = two_vertex_complete()
-    col = Coloring(2, frozenset({0, 1}))
-    v = check_bootstrap(g, col, 7, Fraction(1))
+    v = check_bootstrap(g, np.array([True, True]), 7, Fraction(1))
     assert v.hypothesis_met and v.holds and v.long_probability == 1
 
 
 def test_bootstrap_hypothesis_unmet():
     g = two_vertex_complete()
-    col = Coloring(2, frozenset({0}))
-    v = check_bootstrap(g, col, 5, Fraction(1, 2))
+    v = check_bootstrap(g, np.array([True, False]), 5, Fraction(1, 2))
     assert not v.hypothesis_met and v.holds is None
 
 
 def test_bootstrap_default_c_is_the_probability_at_L():
     g = debruijn_graph(3, 4)
     for targets in ([0], [0, 2], [1, 2]):
-        col = ultimate_iterate_coloring(3, 4, targets)
+        red = ultimate_iterate_coloring(3, 4, targets)
         for L in (1, 3, 8, 12):
-            explicit = check_bootstrap(g, col, L, all_red_probability(g, col, L).value)
-            assert check_bootstrap(g, col, L) == explicit
+            explicit = check_bootstrap(g, red, L, all_red_probability(g, red, L).value)
+            assert check_bootstrap(g, red, L) == explicit
             assert explicit.threshold == explicit.short_probability ** 2 / 10
 
 
 def test_monotone_in_length():
     rng = random.Random(2)
     g = random_regular_digraph(12, 3, rng)
-    col = random_coloring(12, rng)
-    probs = [all_red_probability(g, col, L).value for L in range(1, 12)]
+    red = random_coloring(12, rng)
+    probs = [all_red_probability(g, red, L).value for L in range(1, 12)]
     assert all(a >= b for a, b in zip(probs, probs[1:]))
 
 
@@ -126,17 +169,41 @@ def test_dp_matches_path_enumeration():
         n = rng.randint(1, 8)
         d = rng.randint(1, min(3, n))
         g = random_regular_digraph(n, d, rng)
-        col = random_coloring(n, rng)
+        red = random_coloring(n, rng)
         for L in range(1, 7):
-            assert all_red_probability(g, col, L).value == brute_all_red(g, col, L)
+            assert all_red_probability(g, red, L).value == brute_all_red(g, red, L)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_dp_matches_path_enumeration_hypothesis(data):
+    n = data.draw(st.integers(1, 6), label="n")
+    d = data.draw(st.integers(1, n), label="d")
+    g = random_regular_digraph(n, d, data.draw(st.randoms(use_true_random=False)))
+    red = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n), label="red"))
+    L = data.draw(st.integers(1, 7), label="L")
+    assert all_red_probability(g, red, L).value == brute_all_red(g, red, L)
+
+
+@pytest.mark.parametrize("C, k", [(3, 4), (2, 6), (4, 4)])
+def test_dp_totals_match_list_dp(C, k):
+    g = debruijn_graph(C, k)
+    proper = [t for r in range(1, C) for t in combinations(range(C), r)]
+    for targets in proper:
+        red = ultimate_iterate_coloring(C, k, targets)
+        expect = list_dp_totals(g, red, 24)
+        got = [t for t, _ in zip(_red_walk_totals(g, red), range(24))]
+        assert got == expect, targets
+        assert check_bootstrap(g, red, 20).short_probability == Fraction(
+            expect[19], g.n * g.d ** 19)
 
 
 def test_debruijn_small():
     g = debruijn_graph(2, 1)
-    assert g.n == 2 and g.out_edges == ((0, 1), (0, 1))
+    assert g.n == 2 and g.succ.tolist() == [[0, 1], [0, 1]]
     g = debruijn_graph(2, 2)
     assert g.n == 4 and g.d == 2
-    assert sum(len(s) for s in g.out_edges) == 8
+    assert g.succ.size == 8
     g = debruijn_graph(3, 3)
     assert g.n == 27 and g.d == 3  # degree checks run at construction
 
@@ -146,7 +213,7 @@ def test_debruijn_edges_shift_words():
     g = debruijn_graph(C, k)
     for v in range(g.n):
         word = [(v // C) % C, v % C]
-        for w in g.out_edges[v]:
+        for w in g.succ[v]:
             succ = [(w // C) % C, w % C]
             assert succ[0] == word[1]
 
@@ -157,16 +224,16 @@ def test_debruijn_cap():
 
 
 def test_ultimate_coloring_examples():
-    col = ultimate_iterate_coloring(2, 2, {0})
-    assert col.red == {0b00, 0b11}
-    col = ultimate_iterate_coloring(3, 2, {0, 2})
-    decoded = {(v // 3, v % 3) for v in col.red}
+    red = ultimate_iterate_coloring(2, 2, {0})
+    assert red.tolist() == [True, False, False, True]  # words 00 and 11
+    red = ultimate_iterate_coloring(3, 2, {0, 2})
+    decoded = {(v // 3, v % 3) for v in np.flatnonzero(red)}
     assert decoded == {(0, 0), (1, 1), (2, 2), (0, 2), (2, 0)}
     # enumeration oracle, independent recursion over all 27 triples
     expect = sum(
         1 for t in product(range(3), repeat=3) if ultimate_iterate(list(t)) == 0
     )
-    assert len(ultimate_iterate_coloring(3, 3, {0}).red) == expect == 11
+    assert int(ultimate_iterate_coloring(3, 3, {0}).sum()) == expect == 11
 
 
 def test_random_regular_digraphs_validate():
@@ -181,10 +248,11 @@ def test_random_regular_digraphs_validate():
 def test_walk_instance_round_trip():
     rng = random.Random(123)
     g = random_regular_digraph(9, 2, rng)
-    col = random_coloring(9, rng)
-    text = format_walk_instance(g, col)
-    g2, col2 = parse_walk_instance(text)
-    assert g2 == g and col2 == col
+    red = random_coloring(9, rng)
+    text = format_walk_instance(g, red)
+    g2, red2 = parse_walk_instance(text)
+    assert np.array_equal(g2.succ, g.succ) and np.array_equal(red2, red)
+    assert format_walk_instance(g2, red2) == text
 
 
 def test_parse_rejects_malformed():
@@ -194,3 +262,5 @@ def test_parse_rejects_malformed():
         parse_walk_instance("2 1\n0\n")  # missing successor line
     with pytest.raises(ValueError):
         parse_walk_instance("2 1\n1\n0\nxr")  # bad coloring char
+    with pytest.raises(ValueError, match="out of range"):
+        parse_walk_instance("2 1\n1\n2\nrr")
