@@ -3,8 +3,6 @@
 from .triangle import (
     Row,
     RowExhaustedError,
-    StopRule,
-    TriangleHistory,
     diff_step,
     iterate_until,
     ultimate_iterate,

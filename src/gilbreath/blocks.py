@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .triangle import StopKind, StopRule, TriangleHistory, iterate_until
+from .triangle import Row, iterate_until, never
 
 
 @dataclass(frozen=True)
@@ -89,7 +89,7 @@ def check_block_destruction(row: Sequence[int]) -> DestructionVerdict:
     L = longest_block(row, BlockSpec(frozenset({0, d}), require_witness=d)).max_length
     if L > len(row) - 1:
         return DestructionVerdict(False, None, d, L, None)
-    observed = max(iterate_until(row, StopRule(StopKind.NONE), L).row)
+    observed = max(iterate_until(row, never, L).row)
     return DestructionVerdict(True, observed <= d - 1, d, L, observed)
 
 
@@ -102,25 +102,25 @@ class DichotomyVerdict:
     block_length: int | None
 
 
-def check_inverse_iterates(history: TriangleHistory, i: int, d: int, L: int) -> DichotomyVerdict:
+def check_inverse_iterates(rows: list[Row], i: int, d: int, L: int) -> DichotomyVerdict:
     """Verify the dichotomy behind a dZ-block of length L in row i: it traces back to
     a dZ-block of length L+i in row 0, or to a zero-free block of length L+i-i'
-    in some earlier row i'.
+    in some earlier row i'.  `rows` are successive triangle rows from row 0.
     """
     if d < 1:
         raise ValueError("d must be >= 1")
-    if i < 0 or i >= len(history.rows):
-        raise ValueError("history must retain rows 0 through i")
-    if _longest_run(history.rows[i], lambda v: v % d == 0)[0] < L:
+    if i < 0 or i >= len(rows):
+        raise ValueError("rows must run from row 0 through row i")
+    if _longest_run(rows[i], lambda v: v % d == 0)[0] < L:
         raise ValueError("no dZ-block of stated length in row i")
 
     # For i = 0 the block sits in row 0 itself, so branch 1 is tautological.
-    length0, start0 = _longest_run(history.rows[0], lambda v: v % d == 0)
+    length0, start0 = _longest_run(rows[0], lambda v: v % d == 0)
     if length0 >= L + i:
         return DichotomyVerdict(True, 1, 0, start0, length0)
     for i_prime in range(i):
         need = L + i - i_prime
-        length, start = _longest_run(history.rows[i_prime], lambda v: v != 0)
+        length, start = _longest_run(rows[i_prime], lambda v: v != 0)
         if length >= need:
             return DichotomyVerdict(True, 2, i_prime, start, length)
     return DichotomyVerdict(False, None, None, None, None)
@@ -135,9 +135,9 @@ class EventReport:
     status: str  # "fired" | "absent" | "insufficient_history"
 
 
-def detect_event_cascade(history: TriangleHistory, C: int, R: int) -> list[EventReport]:
-    """Event diagnostics for j = 1..C-2: a {0,C-j}-block of length R**j after
-    2*R**(j-1) iterations (0 iterations for j = 1).
+def detect_event_cascade(rows: list[Row], C: int, R: int) -> list[EventReport]:
+    """Event diagnostics for j = 1..C-2 on successive triangle rows from row 0: a
+    {0,C-j}-block of length R**j after 2*R**(j-1) iterations (0 for j = 1).
 
     Thresholds are exact integers; no floor/ceiling smoothing.
     """
@@ -150,11 +150,10 @@ def detect_event_cascade(history: TriangleHistory, C: int, R: int) -> list[Event
         iteration = 0 if j == 1 else 2 * R ** (j - 1)
         required = R**j
         allowed = (0, C - j)
-        if iteration >= len(history.rows):
+        if iteration >= len(rows):
             reports.append(EventReport(j, iteration, allowed, required, "insufficient_history"))
             continue
-        row = history.rows[iteration]
-        got = longest_block(row, BlockSpec(frozenset(allowed))).max_length
+        got = longest_block(rows[iteration], BlockSpec(frozenset(allowed))).max_length
         status = "fired" if got >= required else "absent"
         reports.append(EventReport(j, iteration, allowed, required, status))
     return reports

@@ -27,7 +27,17 @@ import numpy as np
 
 from . import __version__, experiments, lifting, parity, primes, walks
 from .blocks import BlockSpec, check_block_destruction, detect_event_cascade, longest_block
-from .triangle import Finding, StopKind, StopRule, TriangleHistory, iterate_until, validate_row
+from .triangle import (
+    Finding,
+    all_in_zero_d,
+    all_le_one,
+    first_not_one,
+    iterate_until,
+    never,
+    stabilization_predicate,
+    triangle_rows,
+    validate_row,
+)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -153,25 +163,26 @@ def _manifest(subcommand: str, params: dict, seed: int, started: float) -> None:
 
 
 _STOP_CHOICES = {
-    "le1": StopKind.ALL_LE_ONE,
-    "zero-d": StopKind.ALL_IN_ZERO_D,
-    "first-not-one": StopKind.FIRST_NOT_ONE,
-    "stable": StopKind.STABLE_TAIL,
-    "none": StopKind.NONE,
+    "le1": all_le_one,
+    "zero-d": all_in_zero_d,  # a factory: --d picks the rule
+    "first-not-one": first_not_one,
+    "stable": stabilization_predicate,
+    "none": never,
 }
 
 
 def _cmd_triangle(args) -> list[Group]:
     row = _parse_values(args.values)
-    kind = _STOP_CHOICES[args.stop]
-    _require(kind is not StopKind.ALL_IN_ZERO_D or args.d is not None, "--stop zero-d needs --d")
-    rule = StopRule(kind, d=args.d)  # only the zero-d rule reads d
+    stop = _STOP_CHOICES[args.stop]
+    if stop is all_in_zero_d:
+        _require(args.d is not None, "--stop zero-d needs --d")
+        stop = all_in_zero_d(args.d)
     budget = args.max_iters if args.max_iters is not None else len(row) - 1
-    res = iterate_until(row, rule, budget, retain=True)
-    for r in res.history.rows:
+    res = iterate_until(row, stop, budget, retain=True)
+    for r in res.rows:
         print(" ".join(str(v) for v in r))
     params = {"values": row, "stop": args.stop, "max_iters": args.max_iters, "d": args.d}
-    result = {"rows": res.history.rows, "iterations": res.iterations, "reason": res.reason}
+    result = {"rows": res.rows, "iterations": res.iterations, "reason": res.reason}
     return [("triangle", params, [result])]
 
 
@@ -227,8 +238,7 @@ def _cmd_blocks(args) -> list[Group]:
             raise Finding("max-destruction bound falsified", {"row": row})
     if args.events is not None:
         C, R = _parse_int_pair(args.events)
-        history = TriangleHistory.from_row(row)
-        reports = detect_event_cascade(history, C, R)
+        reports = detect_event_cascade(triangle_rows(row), C, R)
         params = {"values": row, "C": C, "R": R}
         result = {"events": [{"j": e.j, "iteration": e.iteration, "allowed": list(e.allowed),
                               "required_length": e.required_length, "status": e.status}

@@ -12,13 +12,14 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import groupby
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
+from . import triangle
 from .triangle import (
     Finding,
-    StopRule,
+    all_le_one,
     batch_ultimate,
     enumerate_rows,
     iterate_until,
@@ -175,32 +176,6 @@ def wilson_interval(successes: int, n: int, z: float = 1.96) -> tuple[float, flo
     return low, high
 
 
-class AliasTable:
-    """Vose alias sampler for a fixed symbol distribution; O(1) per draw."""
-
-    def __init__(self, weights: Sequence[float]):
-        n = len(weights)
-        scaled = [w * n for w in weights]
-        self.accept = np.zeros(n)
-        self.alias = np.zeros(n, dtype=np.int64)
-        small = [i for i, w in enumerate(scaled) if w < 1.0]
-        large = [i for i, w in enumerate(scaled) if w >= 1.0]
-        while small and large:
-            s, l = small.pop(), large.pop()
-            self.accept[s] = scaled[s]
-            self.alias[s] = l
-            scaled[l] -= 1.0 - scaled[s]
-            (small if scaled[l] < 1.0 else large).append(l)
-        for i in large + small:
-            self.accept[i] = 1.0
-            self.alias[i] = i
-
-    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        k = rng.integers(0, len(self.accept), size=size)
-        u = rng.random(size)
-        return np.where(u < self.accept[k], k, self.alias[k])
-
-
 def sample_uniform(M: int, C: int, stream: np.random.Generator) -> np.ndarray:
     """M i.i.d. uniform draws from {0,...,C-1}."""
     if C < 2:
@@ -254,17 +229,16 @@ def run_experiment(cfg: ExperimentConfig) -> Iterator[dict]:
 def _collapse_results(cfg: ExperimentConfig) -> Iterator[dict]:
     """Per trial: sample a row, difference until everything is 0 or 1 or the
     budget runs out; aggregate the collapsed fraction and median collapse time."""
-    alias = AliasTable(cfg.weights) if cfg.weights else None
     collapsed: list[int] = []
     for index in cfg.indices:
         rng, fingerprint = _trial_stream(cfg, index)
         if cfg.kind == "increasing_alphabet":
             row = sample_schedule(cfg.M, cfg.schedule, rng)
-        elif alias is not None:
-            row = alias.sample(rng, cfg.M).astype(np.int64)
+        elif cfg.weights:
+            row = rng.choice(cfg.C, size=cfg.M, p=cfg.weights)
         else:
             row = sample_uniform(cfg.M, cfg.C, rng)
-        res = iterate_until(row, StopRule.all_le_one(), cfg.budget)
+        res = iterate_until(row, all_le_one, cfg.budget)
         result = {"record": "trial", "trial_index": index, "derived_seed": fingerprint}
         if res.reason == "stop":
             result["collapse_iteration"] = res.iterations
@@ -289,8 +263,10 @@ def _collapse_results(cfg: ExperimentConfig) -> Iterator[dict]:
 def _leading_term_trial(cfg: ExperimentConfig, index: int) -> dict:
     rng, fingerprint = _trial_stream(cfg, index)
     row = sample_gap_sequence(cfg.M, cfg.schedule, rng)
-    # Rows 1..M of the triangle; a length-1 row is stable iff it is [1].
-    res = iterate_until(step_array(row), StopRule.stable_tail(), cfg.M - 1)
+    # Rows 1..M of the triangle; a length-1 row is stable iff it is [1].  The
+    # stop rule is looked up in `triangle` and the closure check below in this
+    # module, so that either can be replaced alone.
+    res = iterate_until(step_array(row), triangle.stabilization_predicate, cfg.M - 1)
     m0 = None
     if res.reason == "stop":
         # Spot-check the closure that justifies stopping early.

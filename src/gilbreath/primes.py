@@ -20,8 +20,7 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .triangle import StopKind, StopRule, iterate_until, step_array
-from .triangle import stabilization_predicate  # noqa: F401  (public name of this module)
+from .triangle import iterate_until, never, stabilization_predicate, step_array, zero_or_two
 
 CHECKPOINT_MAGIC = b"GILB"
 CHECKPOINT_VERSION = 2
@@ -120,15 +119,25 @@ def load_checkpoint(path: str) -> Checkpoint:
     return ck
 
 
-def _window_stop(window: np.ndarray, first: bool, D: int) -> int | Verdict:
-    """The row where one window's iteration stops, or the verdict it forces."""
-    # A later window holds no column 1, so only {0,2} counts as stable there.
-    rule = StopRule(StopKind.FIRST_NOT_ONE_OR_STABLE) if first else StopRule.all_in_zero_d(2)
-    res = iterate_until(window, rule, D)
-    row = 1 + res.iterations
+def _leading_column_decided(row: np.ndarray) -> bool:
+    return bool(row[0] != 1) or stabilization_predicate(row)
+
+
+def _window_stop(window: np.ndarray, S: int, D: int) -> int | Verdict:
+    """The row where one window's iteration stops, or the verdict it forces.
+
+    S = 0 marks the first window.  A later window can raise S only by
+    stopping past row S, so it is differenced to row S before its rule is
+    tested; it holds no column 1, so only {0,2} counts as stable there.
+    """
+    if S:
+        res = iterate_until(iterate_until(window, never, S - 1).row, zero_or_two, D - S + 1)
+    else:
+        res = iterate_until(window, _leading_column_decided, D)
+    row = max(S, 1) + res.iterations
     if res.reason != "stop":
         return Verdict("inconclusive", D + 1, None, D)
-    if first and res.row[0] != 1:
+    if not S and res.row[0] != 1:
         return Verdict("violated", row - 1, None, row - 1, violation_row=row)
     return row
 
@@ -182,15 +191,14 @@ def verify_gilbreath(
             window = np.concatenate([tail, gaps.astype(np.uint16)])
             last, seen = int(seg[-1]), seen + gaps.size
             if S or window.size > D:
-                stop = _window_stop(window, not S, D)
-                if isinstance(stop, Verdict):
-                    return stop
-                S = max(S, stop)
+                S = _window_stop(window, S, D)
+                if isinstance(S, Verdict):
+                    return S
             tail = window[-D:] if D else window[:0]
         if checkpoint_every and k % checkpoint_every == 0:
             _write_checkpoint(checkpoint_path, Checkpoint(N, D, last, seen, S, tail))
     if not S:  # the sieve ended within D gaps: they all form the first window
-        S = _window_stop(tail, True, D)
+        S = _window_stop(tail, 0, D)
     return S if isinstance(S, Verdict) else Verdict("verified", seen, S, S - 1)
 
 

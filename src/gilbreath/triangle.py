@@ -10,9 +10,8 @@ array kernel, `step_array`, differences 1-D rows and 2-D batches alike, and
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from enum import Enum
-from typing import Sequence
+from dataclasses import dataclass
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -78,20 +77,6 @@ def batch_ultimate(rows: np.ndarray) -> np.ndarray:
     return work[:, 0]
 
 
-def stabilization_predicate(row: np.ndarray) -> bool:
-    """True iff the row is a leading 1 followed only by 0s and 2s.
-
-    {0,2} is closed under absolute differences and |1-0| = |1-2| = 1, so every
-    later row of such a row again starts with 1.
-    """
-    if len(row) == 0:
-        raise ValueError("row must have length >= 1")
-    if row[0] != 1:
-        return False
-    # x | 2 == 2 exactly when x is 0 or 2, so one max() reduction tests the tail.
-    return len(row) == 1 or int((row[1:] | 2).max()) == 2
-
-
 def enumerate_rows(alphabet: int, length: int) -> np.ndarray:
     """All alphabet**length rows over {0,...,alphabet-1} as a 2-D int64 array.
 
@@ -106,69 +91,51 @@ def enumerate_rows(alphabet: int, length: int) -> np.ndarray:
     return out
 
 
-class StopKind(Enum):
-    ALL_LE_ONE = "all_le_one"
-    ALL_IN_ZERO_D = "all_in_zero_d"
-    FIRST_NOT_ONE = "first_not_one"
-    STABLE_TAIL = "stable_tail"  # leading 1, every later entry 0 or 2
-    FIRST_NOT_ONE_OR_STABLE = "first_not_one_or_stable"  # the leading column is decided
-    NONE = "none"  # never matches: iterate until exhausted or out of budget
+# Stop rules for `iterate_until`: predicates on a 1-D array row.
 
 
-@dataclass(frozen=True)
-class StopRule:
-    """Closed enumeration of iteration stop predicates (keeps fast paths possible)."""
-
-    kind: StopKind
-    d: int | None = None
-
-    @classmethod
-    def all_le_one(cls) -> "StopRule":
-        return cls(StopKind.ALL_LE_ONE)
-
-    @classmethod
-    def all_in_zero_d(cls, d: int) -> "StopRule":
-        return cls(StopKind.ALL_IN_ZERO_D, d=d)
-
-    @classmethod
-    def first_not_one(cls) -> "StopRule":
-        return cls(StopKind.FIRST_NOT_ONE)
-
-    @classmethod
-    def stable_tail(cls) -> "StopRule":
-        return cls(StopKind.STABLE_TAIL)
-
-    def matches(self, row: np.ndarray) -> bool:
-        if self.kind is StopKind.ALL_LE_ONE:
-            # One max() reduction is cheaper than materializing row <= 1.
-            return int(row.max()) <= 1
-        if self.kind is StopKind.ALL_IN_ZERO_D:
-            return bool(((row == 0) | (row == self.d)).all())
-        if self.kind is StopKind.FIRST_NOT_ONE:
-            return bool(row[0] != 1)
-        if self.kind is StopKind.FIRST_NOT_ONE_OR_STABLE:
-            return bool(row[0] != 1) or stabilization_predicate(row)
-        if self.kind is StopKind.NONE:
-            return False
-        return stabilization_predicate(row)
+def zero_or_two(row: np.ndarray) -> bool:
+    """True iff every entry is 0 or 2."""
+    # x | 2 == 2 exactly when x is 0 or 2, so one max() reduction tests the row.
+    return int((row | 2).max()) == 2
 
 
-@dataclass
-class TriangleHistory:
-    """Successive rows of a difference triangle, rows[k+1] = diff_step(rows[k])."""
+def stabilization_predicate(row: np.ndarray) -> bool:
+    """True iff the row is a leading 1 followed only by 0s and 2s.
 
-    rows: list[Row] = field(default_factory=list)
+    {0,2} is closed under absolute differences and |1-0| = |1-2| = 1, so every
+    later row of such a row again starts with 1.
+    """
+    if len(row) == 0:
+        raise ValueError("row must have length >= 1")
+    if row[0] != 1:
+        return False
+    return len(row) == 1 or zero_or_two(row[1:])
 
-    def check(self) -> None:
-        for upper, lower in zip(self.rows, self.rows[1:]):
-            if lower != diff_step(upper):
-                raise ValueError("history rows are not successive difference iterates")
 
-    @classmethod
-    def from_row(cls, row: Sequence[int], depth: int | None = None) -> "TriangleHistory":
-        """Build the triangle under `row`, down to length 1 or `depth` iterations."""
-        budget = len(row) - 1 if depth is None else depth
-        return iterate_until(row, StopRule(StopKind.NONE), budget, retain=True).history
+def all_le_one(row: np.ndarray) -> bool:
+    # One max() reduction is cheaper than materializing row <= 1.
+    return int(row.max()) <= 1
+
+
+def all_in_zero_d(d: int) -> Callable[[np.ndarray], bool]:
+    """The rule "every entry is 0 or d"."""
+    return lambda row: bool(((row == 0) | (row == d)).all())
+
+
+def first_not_one(row: np.ndarray) -> bool:
+    return bool(row[0] != 1)
+
+
+def never(row: np.ndarray) -> bool:
+    """Never stops: iterate until the row is exhausted or the budget runs out."""
+    return False
+
+
+def triangle_rows(row: Sequence[int], depth: int | None = None) -> list[Row]:
+    """The triangle under `row`, down to length 1 or `depth` iterations."""
+    budget = len(row) - 1 if depth is None else depth
+    return iterate_until(row, never, budget, retain=True).rows
 
 
 @dataclass
@@ -177,28 +144,28 @@ class IterationResult:
     row: Row | np.ndarray  # an array when the input row was one
     reason: str  # "stop" | "exhausted" | "budget"
     firsts: list[int]  # first entry of every row visited, the input row's first
-    history: TriangleHistory | None = None
+    rows: list[Row] | None = None  # every row visited, when retained
 
 
 def iterate_until(
     row: Sequence[int] | np.ndarray,
-    stop: StopRule,
+    stop: Callable[[np.ndarray], bool],
     max_iters: int,
     retain: bool = False,
 ) -> IterationResult:
-    """Difference until `stop` matches, the row shrinks to length 1, or the budget runs out.
+    """Difference until `stop(row)` is true, the row shrinks to length 1, or the budget runs out.
 
-    The stop predicate is tested before each step, so a row that already
-    matches reports 0 iterations.  `reason` says which condition fired first.
-    A 1-D ndarray is iterated in its own dtype, except that an unsigned row
-    drops to uint8 once its max fits (the max never grows down a triangle),
-    and its final row is returned as an array; any other sequence is
-    validated and returned as a list.
+    The stop predicate is tested on every row before its step, so a row that
+    already matches reports 0 iterations.  `reason` says which condition
+    fired first.  A 1-D integer ndarray is iterated in its own dtype, except
+    that any row drops to uint8 once its max fits (the max never grows down
+    a triangle), and its final row is returned as an array; any other
+    sequence is validated and returned as a list.
     """
     as_array = isinstance(row, np.ndarray)
     if as_array:
-        if row.ndim != 1 or row.size == 0 or row.min() < 0:
-            raise ValueError("row must be a non-empty 1-D array of non-negative entries")
+        if row.dtype.kind not in "buiO" or row.ndim != 1 or row.size == 0 or row.min() < 0:
+            raise ValueError("row must be a non-empty 1-D integer array of non-negative entries")
         cur = row
     else:
         values = validate_row(row)
@@ -210,12 +177,12 @@ def iterate_until(
     firsts = []
     iters = 0
     while True:
-        if cur.dtype.kind == "u" and cur.itemsize > 1 and int(cur.max()) < 256:
+        if cur.dtype != np.uint8 and int(cur.max()) < 256:
             cur = cur.astype(np.uint8)
         firsts.append(int(cur[0]))
         if retain:
             rows.append(cur.tolist())
-        if stop.matches(cur):
+        if stop(cur):
             reason = "stop"
             break
         if cur.size == 1:
@@ -226,6 +193,5 @@ def iterate_until(
             break
         cur = step_array(cur)
         iters += 1
-    history = TriangleHistory(rows) if retain else None
-    return IterationResult(iters, cur if as_array else cur.tolist(), reason, firsts, history)
+    return IterationResult(iters, cur if as_array else cur.tolist(), reason, firsts, rows)
 

@@ -24,7 +24,7 @@ from gilbreath.experiments import (
 from gilbreath.lifting import ExoticCertificate, verify_certificate
 from gilbreath.parity import parity_of_ultimate, prob_even
 from gilbreath.primes import naive_first_column, verify_gilbreath
-from gilbreath.triangle import TriangleHistory, batch_ultimate, enumerate_rows
+from gilbreath.triangle import batch_ultimate, enumerate_rows, triangle_rows
 from gilbreath.walks import (
     all_red_probability,
     check_bootstrap,
@@ -62,10 +62,10 @@ def report(n: int, elapsed: float, detail: str) -> None:
 
 def test_criterion_01_golden_triangle(capsys):
     t0 = time.perf_counter()
-    history = TriangleHistory.from_row(PRIME_ROWS[0])
+    rows = triangle_rows(PRIME_ROWS[0])
     elapsed = time.perf_counter() - t0
-    assert history.rows == PRIME_ROWS
-    assert all(r[0] == 1 for r in history.rows[1:])
+    assert rows == PRIME_ROWS
+    assert all(r[0] == 1 for r in rows[1:])
     assert elapsed < 1e-3
     assert main(["triangle", "--values", "2,3,5,7,11,13,17"]) == 0
     out = capsys.readouterr().out
@@ -76,12 +76,12 @@ def test_criterion_01_golden_triangle(capsys):
 
 def test_criterion_02_golden_exotic(capsys):
     t0 = time.perf_counter()
-    history = TriangleHistory.from_row(EXOTIC_ROWS[0], depth=8)
+    rows = triangle_rows(EXOTIC_ROWS[0], depth=8)
     cert = ExoticCertificate(d=3, initial=tuple(EXOTIC_ROWS[0]), depth_checked=19,
                              first_pure_row=8)
     ok = verify_certificate(cert)
     elapsed = time.perf_counter() - t0
-    assert history.rows == EXOTIC_ROWS
+    assert rows == EXOTIC_ROWS
     assert ok
     assert elapsed < 1e-3
     with capsys.disabled():
@@ -140,8 +140,8 @@ def test_criterion_05_dichotomy_suite(capsys):
     checked = failures = 0
     for _ in range(1000):
         row = rng.integers(0, 5, size=12).tolist()
-        history = TriangleHistory.from_row(row)
-        for i, r in enumerate(history.rows):
+        rows = triangle_rows(row)
+        for i, r in enumerate(rows):
             for d in (2, 3, 4):
                 length = 0
                 for v in r + [-1]:  # sentinel flushes the final run
@@ -150,7 +150,7 @@ def test_criterion_05_dichotomy_suite(capsys):
                     else:
                         if length:
                             checked += 1
-                            verdict = check_inverse_iterates(history, i, d, length)
+                            verdict = check_inverse_iterates(rows, i, d, length)
                             failures += 0 if verdict.holds else 1
                         length = 0
     elapsed = time.perf_counter() - t0

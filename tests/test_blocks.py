@@ -12,7 +12,7 @@ from gilbreath.blocks import (
     detect_event_cascade,
     longest_block,
 )
-from gilbreath.triangle import TriangleHistory, diff_step
+from gilbreath.triangle import diff_step, triangle_rows
 
 
 def brute_longest_block(row, allowed, witness=None):
@@ -117,39 +117,35 @@ def test_block_decay_is_monotone():
             prev = cur
 
 
-def history_of(row):
-    return TriangleHistory.from_row(row)
-
-
 def test_inverse_iterates_all_multiples():
-    h = history_of([3, 0, 3, 0, 3])
+    rows = triangle_rows([3, 0, 3, 0, 3])
     # every row is 3Z-valued; the initial row carries the full-length block
-    v = check_inverse_iterates(h, i=2, d=3, L=3)
+    v = check_inverse_iterates(rows, i=2, d=3, L=3)
     assert v.holds and v.branch == 1 and v.row_index == 0 and v.block_length == 5
 
 
 def test_inverse_iterates_tautology_at_i0():
-    h = history_of([6, 1, 4])
-    v = check_inverse_iterates(h, i=0, d=2, L=1)
+    rows = triangle_rows([6, 1, 4])
+    v = check_inverse_iterates(rows, i=0, d=2, L=1)
     assert v.holds and v.branch == 1
 
 
 def test_inverse_iterates_precondition():
-    h = history_of([1, 1, 1])
+    rows = triangle_rows([1, 1, 1])
     with pytest.raises(ValueError, match="no dZ-block"):
-        check_inverse_iterates(h, i=0, d=5, L=2)
+        check_inverse_iterates(rows, i=0, d=5, L=2)
 
 
 def test_inverse_iterates_randomized_histories():
     rng = np.random.default_rng(17)
     for _ in range(1000):
         row = rng.integers(0, 5, size=12).tolist()
-        h = history_of(row)
-        for i, r in enumerate(h.rows):
+        rows = triangle_rows(row)
+        for i, r in enumerate(rows):
             for d in (2, 3, 4):
                 runs = _maximal_multiple_runs(r, d)
                 for L in runs:
-                    v = check_inverse_iterates(h, i, d, L)
+                    v = check_inverse_iterates(rows, i, d, L)
                     assert v.holds, (row, i, d, L)
 
 
@@ -169,14 +165,14 @@ def _maximal_multiple_runs(row, d):
 
 
 def test_event_cascade_all_zero_row():
-    h = history_of([0] * 10)
-    reports = detect_event_cascade(h, C=3, R=5)
+    rows = triangle_rows([0] * 10)
+    reports = detect_event_cascade(rows, C=3, R=5)
     assert reports[0].status == "fired"  # j=1 at iteration 0
 
 
 def test_event_cascade_prime_row():
-    h = history_of([2, 3, 5, 7, 11, 13, 17])
-    reports = detect_event_cascade(h, C=5, R=2)
+    rows = triangle_rows([2, 3, 5, 7, 11, 13, 17])
+    reports = detect_event_cascade(rows, C=5, R=2)
     by_j = {r.j: r for r in reports}
     assert by_j[1].status == "absent"  # no {0,4}-block of length 2 in row 0
     assert by_j[3].status == "insufficient_history"  # needs iteration 8, depth is 6
@@ -189,7 +185,6 @@ def test_event_cascade_bound_check():
     fired = 0
     for _ in range(trials):
         row = rng.integers(0, 3, size=M).tolist()
-        h = TriangleHistory([row])
-        if detect_event_cascade(h, C=3, R=R)[0].status == "fired":
+        if detect_event_cascade([row], C=3, R=R)[0].status == "fired":
             fired += 1
     assert fired / trials <= M * (2 / 3) ** R

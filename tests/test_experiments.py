@@ -7,7 +7,6 @@ import pytest
 
 from gilbreath import experiments
 from gilbreath.experiments import (
-    AliasTable,
     ExperimentConfig,
     Schedule,
     derive_trial_stream,
@@ -107,12 +106,23 @@ def test_wilson_interval_contains_estimate():
         assert 0.0 <= low <= k / n <= high <= 1.0
 
 
-def test_alias_table_matches_weights():
+def test_weighted_collapse_rows_match_weights(monkeypatch):
     weights = (0.5, 0.3, 0.2)
-    table = AliasTable(weights)
-    draws = table.sample(derive_trial_stream(3, 0), 200_000)
+    drawn = []
+    iterate = experiments.iterate_until
+
+    def spy(row, stop, max_iters):
+        drawn.append(row.copy())
+        return iterate(row, stop, max_iters)
+
+    monkeypatch.setattr(experiments, "iterate_until", spy)
+    cfg = ExperimentConfig(kind="uniform_collapse", M=50_000, trials=4, seed=3, C=3,
+                           weights=weights, T=0)
+    run(cfg)
+    rows = np.concatenate(drawn)
+    assert len(drawn) == 4 and rows.size == 200_000
     for symbol, w in enumerate(weights):
-        assert abs(float((draws == symbol).mean()) - w) < 0.01
+        assert abs(float((rows == symbol).mean()) - w) < 0.01
 
 
 def test_collapse_c2_is_instant():

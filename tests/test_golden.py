@@ -12,6 +12,9 @@ from gilbreath.cli import main
 GOLDEN = [
     (("experiment", "collapse", "--M", "2000", "--C", "3", "--trials", "50", "--seed", "3"),
      "469dedc898ebab0bca3d62c7ab653e97b4c7e09fc03154d52257067f32e0bc2e"),
+    (("experiment", "collapse", "--M", "2000", "--C", "3", "--trials", "50", "--seed", "3",
+      "--weights", "0.6", "0.3", "0.1"),
+     "eb2a8163d766c6a91d7400e67462a4f7eede7582e74ea7275814609baf1a73cb"),
     (("experiment", "ultimate-zero", "--C", "3", "--depth", "10", "--trials", "2000",
       "--seed", "3"),
      "7aa0ee13c62ff447018bd2b37e60133e29cbb391f9b3170b2b1104317a7a1a45"),
@@ -50,9 +53,10 @@ GOLDEN = [
 ]
 
 
-# The first two arguments, then the value of --format, --stop or --red-fraction if given.
+# The first two arguments, then the (first) value of --format, --stop, --red-fraction or
+# --weights if given.
 IDS = [" ".join(a[:2]) + "".join(f" {a[a.index(opt) + 1]}"
-                                 for opt in ("--format", "--stop", "--red-fraction")
+                                 for opt in ("--format", "--stop", "--red-fraction", "--weights")
                                  if opt in a) for a, _ in GOLDEN]
 
 

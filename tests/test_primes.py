@@ -17,7 +17,7 @@ from gilbreath.primes import (
     stabilization_predicate,
     verify_gilbreath,
 )
-from gilbreath.triangle import StopKind
+from gilbreath.triangle import never, zero_or_two
 
 
 def sieved(limit: int, segment_size: int = 1 << 20, start: int = 2) -> list[int]:
@@ -169,14 +169,15 @@ def test_later_window_out_of_budget(monkeypatch):
 
     def spy(row, stop, max_iters):
         res = iterate(row, stop, max_iters)
-        runs.append((stop.kind, res.reason, res.iterations))
+        runs.append((stop, res.reason, res.iterations))
         return res
 
     monkeypatch.setattr(primes, "iterate_until", spy)
     v = verify_gilbreath(10**5, max_full_rows=39)
     assert v == Verdict("inconclusive", 40, None, 39) == full_row_verdict(10**5, 39)
-    assert runs[0] == (StopKind.FIRST_NOT_ONE_OR_STABLE, "stop", 14)
-    assert runs[-1] == (StopKind.ALL_IN_ZERO_D, "budget", 39)
+    assert runs[0] == (primes._leading_column_decided, "stop", 14)
+    # The last window is differenced to row S = 39, then runs out of budget.
+    assert runs[-2:] == [(never, "budget", 38), (zero_or_two, "budget", 1)]
 
 
 # The primes up to 1000 with every one from 73 on moved up by 32: the leading

@@ -1,5 +1,8 @@
-"""Smoke test: every script in scripts/ runs once at a small size and exits 0."""
+"""Smoke tests: every script in scripts/ runs once at a small size and exits 0,
+and every name the benchmark imports from the package still exists."""
 
+import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -24,3 +27,14 @@ def test_script_runs(argv):
     proc = subprocess.run([sys.executable, str(ROOT / "scripts" / argv[0]), *argv[1:]],
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_benchmark_imports_resolve():
+    tree = ast.parse((ROOT / "benchmarks" / "micro.py").read_text())
+    names = [(node.module, alias.name) for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("gilbreath.")
+             for alias in node.names]
+    assert names
+    missing = [f"{module}.{name}" for module, name in names
+               if not hasattr(importlib.import_module(module), name)]
+    assert not missing

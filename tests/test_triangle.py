@@ -5,13 +5,17 @@ from hypothesis import strategies as st
 
 from gilbreath.triangle import (
     RowExhaustedError,
-    StopRule,
-    TriangleHistory,
+    all_in_zero_d,
+    all_le_one,
     batch_ultimate,
     diff_step,
     enumerate_rows,
+    first_not_one,
     iterate_until,
+    never,
+    stabilization_predicate,
     step_array,
+    triangle_rows,
     ultimate_iterate,
     validate_row,
 )
@@ -55,29 +59,29 @@ def test_ultimate_iterate():
 
 
 def test_iterate_until_prime_row():
-    res = iterate_until([2, 3, 5, 7, 11, 13, 17], StopRule.all_le_one(), 100)
+    res = iterate_until([2, 3, 5, 7, 11, 13, 17], all_le_one, 100)
     assert (res.iterations, res.row, res.reason) == (6, [1], "stop")
 
 
 def test_iterate_until_already_stopped():
-    res = iterate_until([1, 0, 1], StopRule.all_le_one(), 5)
+    res = iterate_until([1, 0, 1], all_le_one, 5)
     assert res.iterations == 0 and res.reason == "stop"
 
 
 def test_iterate_until_3030():
     # 3,0,3,0 -> 3,3,3 -> 0,0: the all<=1 stop fires at iteration 2.
-    res = iterate_until([3, 0, 3, 0], StopRule.all_le_one(), 10, retain=True)
+    res = iterate_until([3, 0, 3, 0], all_le_one, 10, retain=True)
     assert (res.iterations, res.row, res.reason) == (2, [0, 0], "stop")
-    assert res.history.rows == brute_triangle([3, 0, 3, 0])[:3]
+    assert res.rows == brute_triangle([3, 0, 3, 0])[:3]
 
 
 def test_iterate_until_budget():
-    res = iterate_until([3, 0, 3, 0, 3], StopRule.all_le_one(), 1)
+    res = iterate_until([3, 0, 3, 0, 3], all_le_one, 1)
     assert res.reason == "budget" and res.iterations == 1
 
 
 def test_iterate_until_exhausted():
-    res = iterate_until([5, 0], StopRule.all_le_one(), 10)
+    res = iterate_until([5, 0], all_le_one, 10)
     assert (res.row, res.reason) == ([5], "exhausted")
 
 
@@ -92,36 +96,51 @@ def test_step_array_matches_diff_step(dtype, high):
         assert step_array(row).tolist() == out.tolist()
 
 
-@pytest.mark.parametrize("stop", [StopRule.all_le_one(), StopRule.all_in_zero_d(2),
-                                  StopRule.first_not_one(), StopRule.stable_tail()])
+STOPS = [all_le_one, all_in_zero_d(2), first_not_one, stabilization_predicate]
+
+
+# Index ids keep the test names independent of the rules' function names.
+@pytest.mark.parametrize("stop", STOPS, ids=[f"stop{i}" for i in range(len(STOPS))])
 @pytest.mark.parametrize("budget", [0, 3, 100])
 def test_iterate_until_list_and_array_agree(stop, budget):
+    # Every dtype drops to uint8 before its first stop test, so a row gives
+    # the same result as a list and in each dtype.
     rng = np.random.default_rng(6)
     for _ in range(50):
         row = rng.integers(0, 4, size=rng.integers(1, 20))
         from_list = iterate_until(row.tolist(), stop, budget, retain=True)
-        from_array = iterate_until(row, stop, budget, retain=True)
-        assert isinstance(from_array.row, np.ndarray)
-        assert (from_list.iterations, from_list.reason) == (from_array.iterations,
-                                                              from_array.reason)
-        assert from_list.row == from_array.row.tolist()
-        assert from_list.history.rows == from_array.history.rows
-        assert from_list.firsts == from_array.firsts == [r[0] for r in from_list.history.rows]
+        assert from_list.firsts == [r[0] for r in from_list.rows]
         assert len(from_list.firsts) == from_list.iterations + 1
+        for dtype in (np.uint8, np.uint16, np.int64, object):
+            from_array = iterate_until(row.astype(dtype), stop, budget, retain=True)
+            assert isinstance(from_array.row, np.ndarray)
+            assert (from_list.iterations, from_list.reason) == (from_array.iterations,
+                                                                  from_array.reason)
+            assert from_list.row == from_array.row.tolist()
+            assert from_list.rows == from_array.rows
+            assert from_list.firsts == from_array.firsts
+
+
+def test_iterate_until_big_entries():
+    # Entries past int64 run as exact Python ints until the max drops below 256.
+    row = [2**64 + 5, 3, 2**63, 7, 0, 2**65, 2**63 + 1]
+    res = iterate_until(row, never, len(row) - 1, retain=True)
+    assert (res.iterations, res.reason) == (6, "exhausted")
+    assert res.rows == brute_triangle(row)
+    assert all(type(v) is int for r in res.rows for v in r)
 
 
 def test_iterate_until_rejects_bad_array():
-    for bad in (np.array([], dtype=np.int64), np.array([3, -1]), np.zeros((2, 2), np.int64)):
+    for bad in (np.array([], dtype=np.int64), np.array([3, -1]), np.zeros((2, 2), np.int64),
+                np.array([0.5, 1.5])):
         with pytest.raises(ValueError):
-            iterate_until(bad, StopRule.all_le_one(), 5)
+            iterate_until(bad, all_le_one, 5)
 
 
 def test_history_from_row_checks():
-    h = TriangleHistory.from_row([2, 3, 5, 7, 11, 13, 17])
-    assert len(h.rows) == 7
-    h.check()
-    with pytest.raises(ValueError):
-        TriangleHistory([[1, 2], [3]]).check()
+    row = [2, 3, 5, 7, 11, 13, 17]
+    assert triangle_rows(row) == brute_triangle(row)
+    assert triangle_rows(row, depth=2) == brute_triangle(row)[:3]
 
 
 @given(rows2)
