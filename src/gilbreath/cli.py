@@ -64,7 +64,8 @@ def fraction(text: str) -> Fraction:
         raise ValueError(f"zero denominator in {text!r}") from None
 
 
-def _parse_int_pair(text: str) -> tuple[int, int]:
+def int_pair(text: str) -> tuple[int, int]:
+    """argparse type for 'A,B' options: a malformed pair is a usage error naming the option."""
     a, b = (int(tok) for tok in text.replace(",", " ").split())
     return a, b
 
@@ -196,8 +197,8 @@ def _cmd_parity(args) -> list[Group]:
         print(f"J_{args.depth}: {members} (size {m.size})")
         groups.append(("parity_mask", params, [result]))
     if args.prob_even is not None:
-        c_lo, c_hi = _parse_int_pair(args.prob_even)
-        i_lo, i_hi = _parse_int_pair(args.depths)
+        (c_lo, c_hi), (i_lo, i_hi) = args.prob_even, args.depths
+        _require(c_lo <= c_hi and i_lo <= i_hi, "--prob-even and --depths need MIN <= MAX")
         lo, hi = None, None
         for C in range(c_lo, c_hi + 1):
             for i in range(i_lo, i_hi + 1):
@@ -237,7 +238,7 @@ def _cmd_blocks(args) -> list[Group]:
         if verdict.applicable and not verdict.holds:
             raise Finding("max-destruction bound falsified", {"row": row})
     if args.events is not None:
-        C, R = _parse_int_pair(args.events)
+        C, R = args.events
         reports = detect_event_cascade(triangle_rows(row), C, R)
         params = {"values": row, "C": C, "R": R}
         result = {"events": [{"j": e.j, "iteration": e.iteration, "allowed": list(e.allowed),
@@ -268,13 +269,13 @@ def _build_graph(args, rng_seed: int) -> tuple[walks.RegularDigraph, np.ndarray,
               f"all-red probability at 5L: {long_prob.value}")
         return g, red, {"cycle": n}
     if args.debruijn is not None:
-        C, k = _parse_int_pair(args.debruijn)
+        C, k = args.debruijn
         targets = _parse_values(args.targets) if args.targets else [0]
         g = walks.debruijn_graph(C, k)
         red = walks.ultimate_iterate_coloring(C, k, targets)
         return g, red, {"debruijn": [C, k], "targets": targets}
     if args.random_graph is not None:
-        n, d = _parse_int_pair(args.random_graph)
+        n, d = args.random_graph
         rng = _random.Random(rng_seed)
         g = walks.random_regular_digraph(n, d, rng)
         red = walks.random_coloring(n, rng, args.red_fraction)
@@ -423,8 +424,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("parity", help="parity masks and even-probability tables")
     p.add_argument("--depth", type=int, help="emit the mask at this depth")
-    p.add_argument("--prob-even", help="alphabet range 'CMIN,CMAX' for the table")
-    p.add_argument("--depths", default="1,64", help="depth range 'IMIN,IMAX' (default 1,64)")
+    p.add_argument("--prob-even", type=int_pair, help="alphabet range 'CMIN,CMAX' for the table")
+    p.add_argument("--depths", type=int_pair, default="1,64",
+                   help="depth range 'IMIN,IMAX' (default 1,64)")
     common(p)
 
     p = sub.add_parser("blocks", help="block reports and block-lemma checks")
@@ -433,15 +435,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--witness", type=int, help="value the block must contain")
     p.add_argument("--destruction", action="store_true",
                    help="check the max-destruction bound on the row")
-    p.add_argument("--events", help="'C,R' to report the event cascade of the row's triangle")
+    p.add_argument("--events", type=int_pair,
+                   help="'C,R' to report the event cascade of the row's triangle")
     common(p)
 
     p = sub.add_parser("bootstrap", help="exact all-red walk probabilities and the bootstrap check")
     p.add_argument("--graph", help="graph file: 'n d', n successor lines, then r/b coloring line")
     p.add_argument("--cycle", type=int, help="n-cycle with first n/10 vertices red")
-    p.add_argument("--debruijn", help="'C,k' de Bruijn graph with ultimate-iterate coloring")
+    p.add_argument("--debruijn", type=int_pair,
+                   help="'C,k' de Bruijn graph with ultimate-iterate coloring")
     p.add_argument("--targets", help="red targets for --debruijn (default '0')")
-    p.add_argument("--random", dest="random_graph", help="'n,d' seeded random regular digraph")
+    p.add_argument("--random", dest="random_graph", type=int_pair,
+                   help="'n,d' seeded random regular digraph")
     p.add_argument("--red-fraction", type=float, default=0.5)
     p.add_argument("--length", type=int, required=True, help="walk length L")
     p.add_argument("--c", type=fraction,

@@ -64,14 +64,13 @@ class Schedule:
 
     @classmethod
     def parse(cls, text: str) -> "Schedule":
-        text = text.strip()
-        if ":" not in text:
-            return cls.constant(int(text))
-        pts = []
-        for part in text.split(","):
-            start, value = part.split(":")
-            pts.append((int(start), int(value)))
-        return cls(tuple(pts))
+        spec = text if ":" in text else f"1:{text}"  # a constant k is the one point 1:k
+        try:
+            pts = tuple((int(start), int(value))
+                        for start, value in (part.split(":") for part in spec.split(",")))
+        except ValueError:
+            raise ValueError(f"schedule {text!r}: expected 'k' or '1:k1,n2:k2,...'") from None
+        return cls(pts)
 
     def describe(self) -> str:
         if len(self.points) == 1:

@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .triangle import Row, diff_step, validate_row
+from .triangle import Row, all_in_zero_d, iterate_until, validate_row
 
 
 def preimages(row: Sequence[int], cap: int) -> Iterator[Row]:
@@ -104,28 +104,19 @@ def _first_pure_row(initial: Sequence[int], d: int) -> int | None:
     None when no row is {0,d}-only, or when a later row leaves {0,d} again,
     which would contradict |a-b| in {0,d} for a,b in {0,d}.
     """
-    allowed = {0, d}
-    row = list(initial)
-    first_pure = 0 if all(v in allowed for v in row) else None
-    depth = 0
-    while len(row) > 1:
-        row = diff_step(row)
-        depth += 1
-        pure = all(v in allowed for v in row)
-        if pure and first_pure is None:
-            first_pure = depth
-        if not pure and first_pure is not None:
-            return None
-    return first_pure
+    pure = all_in_zero_d(d)
+    first = iterate_until(initial, pure, len(initial) - 1)
+    if first.reason != "stop":
+        return None
+    rest = iterate_until(first.row, lambda row: not pure(row), len(first.row) - 1)
+    return None if rest.reason == "stop" else first.iterations
 
 
 def verify_certificate(cert: ExoticCertificate) -> bool:
     """Iterate the certificate's initial row all the way down and re-check that
     some row is {0,d}-only and every later row stays {0,d}-only."""
-    if len(cert.initial) - 1 < cert.depth_checked:
-        return False
-    first_pure = _first_pure_row(cert.initial, cert.d)
-    return first_pure is not None and first_pure == cert.first_pure_row
+    return (len(cert.initial) - 1 >= cert.depth_checked
+            and _first_pure_row(cert.initial, cert.d) == cert.first_pure_row)
 
 
 def lift_search(
@@ -141,6 +132,8 @@ def lift_search(
     seed.  The DFS keeps an explicit stack of shuffled levels, so deep lifts
     need no recursion.  Returns None when the budget is exhausted.
     """
+    if budget < 0:
+        raise ValueError("budget must be >= 0")
     seed = validate_row(seed_row)
     d = max(seed)
     if any(v not in (0, d) for v in seed):

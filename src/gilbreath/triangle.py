@@ -60,18 +60,19 @@ def ultimate_iterate(row: Sequence[int]) -> int:
 def step_array(rows: np.ndarray) -> np.ndarray:
     """Differencing step along the last axis, so 1-D rows and 2-D batches alike.
 
-    Unsigned rows use max - min, which has no intermediate negatives, so
-    uint8/uint16 rows never wrap; signed rows use the cheaper abs(b - a).
+    Rows whose max fits drop to uint8 first (the max never grows down a
+    triangle).  max - min has no negative intermediate, so it is exact for
+    unsigned, signed and object (Python int) rows alike.
     """
+    if rows.dtype != np.uint8 and rows.size and int(rows.max()) < 256:
+        rows = rows.astype(np.uint8)
     a, b = rows[..., :-1], rows[..., 1:]
-    if rows.dtype.kind == "u":
-        return np.maximum(a, b) - np.minimum(a, b)
-    return np.abs(b - a)
+    return np.maximum(a, b) - np.minimum(a, b)
 
 
 def batch_ultimate(rows: np.ndarray) -> np.ndarray:
     """Ultimate iterate of every row of a 2-D array (rows share one length)."""
-    work = np.asarray(rows, dtype=np.int64)
+    work = np.asarray(rows)
     while work.shape[1] > 1:
         work = step_array(work)
     return work[:, 0]
@@ -157,10 +158,10 @@ def iterate_until(
 
     The stop predicate is tested on every row before its step, so a row that
     already matches reports 0 iterations.  `reason` says which condition
-    fired first.  A 1-D integer ndarray is iterated in its own dtype, except
-    that any row drops to uint8 once its max fits (the max never grows down
-    a triangle), and its final row is returned as an array; any other
-    sequence is validated and returned as a list.
+    fired first.  A 1-D integer ndarray is stop-tested in its own dtype until
+    `step_array` narrows it, and its final row is returned as an array; any
+    other sequence is validated, iterated as int64 (object past int64) and
+    returned as a list.
     """
     as_array = isinstance(row, np.ndarray)
     if as_array:
@@ -177,8 +178,6 @@ def iterate_until(
     firsts = []
     iters = 0
     while True:
-        if cur.dtype != np.uint8 and int(cur.max()) < 256:
-            cur = cur.astype(np.uint8)
         firsts.append(int(cur[0]))
         if retain:
             rows.append(cur.tolist())

@@ -123,6 +123,8 @@ def check_bootstrap(g: RegularDigraph, red: np.ndarray, L: int,
     """
     if L < 1:
         raise ValueError("walk length must be >= 1")
+    if c is not None and not 0 <= c <= 1:
+        raise ValueError(f"c must lie in [0, 1], not {c}")
     walks = _red_walk_totals(g, red)
     totals = list(islice(walks, L))
     short = _probability(g, totals, L).value

@@ -19,7 +19,10 @@ PRIME_TRIANGLE = """\
 
 
 def run(capsys, *argv):
-    code = main(list(argv))
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:  # argparse usage errors
+        code = exc.code
     out = capsys.readouterr()
     return code, out.out, out.err
 
@@ -106,6 +109,67 @@ def test_bootstrap_bad_fraction_exits_1(capsys):
             main(["bootstrap", "--cycle", "200", "--length", "10", "--c", c])
         assert exc.value.code == 1
         assert f"argument --c: invalid fraction value: '{c}'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("c", ["-1", "3/2"])
+def test_bootstrap_c_outside_unit_interval_exits_1(capsys, c):
+    # A bad threshold is an input error, not a falsified conclusion.
+    code, _, err = run(capsys, "bootstrap", "--cycle", "200", "--length", "10", "--c", c)
+    assert code == 1
+    assert "error: c must lie in [0, 1]" in err and "FINDING" not in err
+
+
+def test_bootstrap_hypothesis_unmet(capsys):
+    code, out, _ = run(capsys, "bootstrap", "--cycle", "200", "--length", "10", "--c", "1/2")
+    assert code == 0
+    assert "hypothesis unmet: P(L) < c = 1/2" in out
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("parity", "--prob-even", "2"), "argument --prob-even: invalid int_pair value: '2'"),
+    (("parity", "--prob-even", "2,3", "--depths", "1"),
+     "argument --depths: invalid int_pair value: '1'"),
+    (("parity", "--prob-even", "3,2"), "error: --prob-even and --depths need MIN <= MAX"),
+    (("blocks", "--values", "1,2", "--events", "4"), "argument --events: invalid int_pair value"),
+    (("bootstrap", "--debruijn", "2", "--length", "4"),
+     "argument --debruijn: invalid int_pair value"),
+    (("bootstrap", "--random", "3", "--length", "4"), "argument --random: invalid int_pair value"),
+    (("experiment", "leading-term", "--M", "10", "--f", "1:2,x", "--trials", "1"),
+     "error: schedule '1:2,x': expected 'k' or '1:k1,n2:k2,...'"),
+    (("exotic", "--seed-row", "0,3", "--cap", "3", "--width", "4", "--budget", "-1"),
+     "error: budget must be >= 0"),
+], ids=["prob-even", "depths", "empty-range", "events", "debruijn", "random", "schedule",
+        "budget"])
+def test_bad_input_names_the_input(capsys, argv, message):
+    code, _, err = run(capsys, *argv)
+    assert code == 1
+    assert message in err and "unpack" not in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("triangle", "--values", "1,2", "--stop", "zero-d"), "error: --stop zero-d needs --d"),
+    (("parity",), "error: parity: give --depth and/or --prob-even"),
+    (("blocks", "--values", "1,2"), "error: blocks: give --allowed, --destruction, and/or --events"),
+    (("bootstrap", "--length", "3"),
+     "error: bootstrap: give one of --graph/--cycle/--debruijn/--random"),
+], ids=["zero-d-without-d", "parity", "blocks", "bootstrap"])
+def test_nothing_to_do_exits_1(capsys, argv, message):
+    code, _, err = run(capsys, *argv)
+    assert code == 1 and message in err
+
+
+def test_triangle_stop_zero_d(capsys):
+    code, out, _ = run(capsys, "triangle", "--values", "0,2,4,2", "--stop", "zero-d", "--d", "2")
+    assert code == 0
+    assert out == "0 2 4 2\n2 2 2\n"
+
+
+def test_bootstrap_graph_file_without_coloring_exits_1(capsys, tmp_path):
+    path = tmp_path / "g.txt"
+    path.write_text("2 2\n0 1\n0 1\n")
+    code, _, err = run(capsys, "bootstrap", "--graph", str(path), "--length", "5")
+    assert code == 1
+    assert "error: graph file must end with a coloring line" in err
 
 
 def test_bootstrap_debruijn(capsys):

@@ -106,6 +106,21 @@ def test_verify_certificate_all_pure_row():
     assert verify_certificate(cert)
 
 
+def test_verify_certificate_rejects_off_by_one_pure_row():
+    for first_pure_row in (7, 9):
+        cert = ExoticCertificate(d=3, initial=tuple(EXOTIC_TOP), depth_checked=19,
+                                 first_pure_row=first_pure_row)
+        assert not verify_certificate(cert)
+
+
+def test_verify_certificate_past_int64():
+    # Entries past int64 run as exact Python ints: row 1 is (d, d, d).
+    d = 2**64 + 3
+    cert = ExoticCertificate(d=d, initial=(2 * d, d, 0, d), depth_checked=3, first_pure_row=1)
+    assert verify_certificate(cert)
+    assert not verify_certificate(ExoticCertificate(d - 1, cert.initial, 3, 1))
+
+
 def test_certificate_json_round_trip():
     cert = ExoticCertificate(d=3, initial=tuple(EXOTIC_TOP), depth_checked=19,
                              first_pure_row=8)

@@ -85,12 +85,21 @@ def test_iterate_until_exhausted():
     assert (res.row, res.reason) == ([5], "exhausted")
 
 
-@pytest.mark.parametrize("dtype, high", [("uint8", 256), ("uint16", 65536), ("int64", 1 << 40)])
+@pytest.mark.parametrize("dtype, high", [
+    ("uint8", 256), ("uint16", 65536), ("int64", 1 << 40), ("int64", 256),
+    pytest.param("object", 1 << 70, id="object-past-int64"),
+])
 def test_step_array_matches_diff_step(dtype, high):
+    # A batch whose max fits comes back uint8; any other keeps its dtype.
     rng = np.random.default_rng(5)
-    batch = rng.integers(0, high, size=(30, 17)).astype(dtype)
+    if dtype == "object":  # Python ints, many of them past int64
+        batch = rng.integers(0, high >> 30, size=(30, 17)).astype(object) << 30
+        assert batch.max() >= 2**63
+    else:
+        batch = rng.integers(0, high, size=(30, 17)).astype(dtype)
     stepped = step_array(batch)
-    assert stepped.dtype == batch.dtype and stepped.shape == (30, 16)
+    assert stepped.dtype == (np.uint8 if high <= 256 else batch.dtype)
+    assert stepped.shape == (30, 16)
     for row, out in zip(batch, stepped):
         assert out.tolist() == diff_step(row.tolist())
         assert step_array(row).tolist() == out.tolist()
@@ -103,8 +112,9 @@ STOPS = [all_le_one, all_in_zero_d(2), first_not_one, stabilization_predicate]
 @pytest.mark.parametrize("stop", STOPS, ids=[f"stop{i}" for i in range(len(STOPS))])
 @pytest.mark.parametrize("budget", [0, 3, 100])
 def test_iterate_until_list_and_array_agree(stop, budget):
-    # Every dtype drops to uint8 before its first stop test, so a row gives
-    # the same result as a list and in each dtype.
+    # Each dtype is stop-tested as given until step_array narrows it to
+    # uint8, and the rules read only values, so a row gives the same result
+    # as a list and in each dtype.
     rng = np.random.default_rng(6)
     for _ in range(50):
         row = rng.integers(0, 4, size=rng.integers(1, 20))
