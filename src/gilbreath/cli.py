@@ -239,7 +239,8 @@ def _cmd_blocks(args) -> list[Group]:
             raise Finding("max-destruction bound falsified", {"row": row})
     if args.events is not None:
         C, R = args.events
-        reports = detect_event_cascade(triangle_rows(row), C, R)
+        deepest = 2 * R ** (C - 3) if C > 3 and R > 0 else 0  # the last row the cascade reads
+        reports = detect_event_cascade(triangle_rows(row, min(deepest, len(row) - 1)), C, R)
         params = {"values": row, "C": C, "R": R}
         result = {"events": [{"j": e.j, "iteration": e.iteration, "allowed": list(e.allowed),
                               "required_length": e.required_length, "status": e.status}

@@ -2,16 +2,18 @@
 
 Each trial draws from its own RNG stream derived from (master_seed,
 trial_index), so results are bit-identical under any trial scheduling; the
-serialized records carry no non-deterministic fields.  Aggregates use Wilson
-95% intervals, which stay sane at proportions near 0 and 1.
+serialized records carry no non-deterministic fields.  `_trials` is the one
+place a trial's stream, its `derived_seed` fingerprint and its row are made.
+Aggregates use Wilson 95% intervals, which stay sane at proportions near 0 and 1.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import groupby
+from itertools import groupby, islice
 from typing import Iterator
 
 import numpy as np
@@ -205,13 +207,29 @@ def sample_gap_sequence(M: int, schedule: Schedule, stream: np.random.Generator)
     return out
 
 
+def _trials(cfg: ExperimentConfig) -> Iterator[tuple[int, int, np.ndarray]]:
+    """Yield (index, fingerprint, row) per trial of `cfg`, in index order: the one place a
+    trial's stream is built, its `derived_seed` read off that stream's seed sequence, and
+    its row drawn with the kind's sampler (M entries, the depth for ultimate-zero)."""
+    for index in cfg.indices:
+        rng = derive_trial_stream(cfg.seed, index)
+        fingerprint = int(rng.bit_generator.seed_seq.generate_state(1, np.uint64)[0])
+        if cfg.kind == "gap_leading_term":
+            row = sample_gap_sequence(cfg.M, cfg.schedule, rng)
+        elif cfg.kind == "increasing_alphabet":
+            row = sample_schedule(cfg.M, cfg.schedule, rng)
+        elif cfg.kind == "uniform_collapse" and cfg.weights:
+            row = rng.choice(cfg.C, size=cfg.M, p=cfg.weights)
+        else:
+            row = sample_uniform(cfg.M, cfg.C, rng)
+        yield index, fingerprint, row
+        del row  # before the next trial samples, as in `_collapse_results`
 
 
-def _trial_stream(cfg: ExperimentConfig, index: int) -> tuple[np.random.Generator, int]:
-    """A trial's stream and its fingerprint, `derived_seed(cfg.seed, index)`, read
-    off the stream's own seed sequence so that a trial builds only one."""
-    rng = derive_trial_stream(cfg.seed, index)
-    return rng, int(rng.bit_generator.seed_seq.generate_state(1, np.uint64)[0])
+def _proportion(successes: int, n: int, prefix: str = "", estimate: str = "estimate") -> dict:
+    """An aggregate's estimate of a proportion and its Wilson 95% bounds."""
+    low, high = wilson_interval(successes, n)
+    return {prefix + estimate: successes / n, prefix + "ci_low": low, prefix + "ci_high": high}
 
 
 def run_experiment(cfg: ExperimentConfig) -> Iterator[dict]:
@@ -229,14 +247,7 @@ def _collapse_results(cfg: ExperimentConfig) -> Iterator[dict]:
     """Per trial: sample a row, difference until everything is 0 or 1 or the
     budget runs out; aggregate the collapsed fraction and median collapse time."""
     collapsed: list[int] = []
-    for index in cfg.indices:
-        rng, fingerprint = _trial_stream(cfg, index)
-        if cfg.kind == "increasing_alphabet":
-            row = sample_schedule(cfg.M, cfg.schedule, rng)
-        elif cfg.weights:
-            row = rng.choice(cfg.C, size=cfg.M, p=cfg.weights)
-        else:
-            row = sample_uniform(cfg.M, cfg.C, rng)
+    for index, fingerprint, row in _trials(cfg):
         res = iterate_until(row, all_le_one, cfg.budget)
         result = {"record": "trial", "trial_index": index, "derived_seed": fingerprint}
         if res.reason == "stop":
@@ -246,62 +257,47 @@ def _collapse_results(cfg: ExperimentConfig) -> Iterator[dict]:
         # samples: holding them costs about a third more page faults per trial.
         del res, row
         yield result
-    low, high = wilson_interval(len(collapsed), cfg.trials)
     yield {
         "record": "aggregate",
         "trials": cfg.trials,
         "collapsed": len(collapsed),
-        "estimate": len(collapsed) / cfg.trials,
-        "ci_low": low,
-        "ci_high": high,
+        **_proportion(len(collapsed), cfg.trials),
         "median_collapse": float(np.median(collapsed)) if collapsed else None,
         "budget": cfg.budget,
     }
-
-
-def _leading_term_trial(cfg: ExperimentConfig, index: int) -> dict:
-    rng, fingerprint = _trial_stream(cfg, index)
-    row = sample_gap_sequence(cfg.M, cfg.schedule, rng)
-    # Rows 1..M of the triangle; a length-1 row is stable iff it is [1].  The
-    # stop rule is looked up in `triangle` and the closure check below in this
-    # module, so that either can be replaced alone.
-    res = iterate_until(step_array(row), triangle.stabilization_predicate, cfg.M - 1)
-    m0 = None
-    if res.reason == "stop":
-        # Spot-check the closure that justifies stopping early.
-        if res.row.size > 1 and not stabilization_predicate(step_array(res.row)):
-            raise Finding("0/2-tail stability violated",
-                          {"seed": cfg.seed, "trial_index": index, "row": len(res.firsts) + 1})
-        m0 = 1 + max((i for i, v in enumerate(res.firsts, start=1) if v != 1), default=0)
-    # Every row past the stable one starts with 1; the trace is run-length encoded.
-    leading = res.firsts + [1] * (cfg.M - len(res.firsts))
-    return {"record": "trial", "trial_index": index, "derived_seed": fingerprint, "m0": m0,
-            "leading_term_trace": [[v, len(list(run))] for v, run in groupby(leading)]}
 
 
 def _leading_term_results(cfg: ExperimentConfig) -> Iterator[dict]:
     """Per trial: stream the triangle of a random gap sequence, tracking the
     first entry of every row, and report the least M_0 from which it is all 1s."""
     finite: list[int] = []
-    for index in cfg.indices:
-        result = _leading_term_trial(cfg, index)
-        if result["m0"] is not None:
-            finite.append(result["m0"])
+    for index, fingerprint, row in _trials(cfg):
+        # Rows 1..M of the triangle; a length-1 row is stable iff it is [1].  The
+        # stop rule is looked up in `triangle` and the closure check below in this
+        # module, so that either can be replaced alone.
+        res = iterate_until(step_array(row), triangle.stabilization_predicate, cfg.M - 1)
+        m0 = None
+        if res.reason == "stop":
+            # Spot-check the closure that justifies stopping early.
+            if res.row.size > 1 and not stabilization_predicate(step_array(res.row)):
+                raise Finding("0/2-tail stability violated",
+                              {"seed": cfg.seed, "trial_index": index, "row": len(res.firsts) + 1})
+            m0 = 1 + max((i for i, v in enumerate(res.firsts, start=1) if v != 1), default=0)
+            finite.append(m0)
+        # Every row past the stable one starts with 1; the trace is run-length encoded.
+        leading = res.firsts + [1] * (cfg.M - len(res.firsts))
+        result = {"record": "trial", "trial_index": index, "derived_seed": fingerprint, "m0": m0,
+                  "leading_term_trace": [[v, len(list(run))] for v, run in groupby(leading)]}
+        del res, row, leading  # before the next trial samples, as in `_collapse_results`
         yield result
     half = sum(1 for m in finite if m <= cfg.M / 2)
-    low, high = wilson_interval(len(finite), cfg.trials)
-    hlow, hhigh = wilson_interval(half, cfg.trials)
     yield {
         "record": "aggregate",
         "trials": cfg.trials,
         "finite_m0": len(finite),
-        "estimate": len(finite) / cfg.trials,
-        "ci_low": low,
-        "ci_high": high,
+        **_proportion(len(finite), cfg.trials),
         "m0_half_count": half,
-        "m0_half_fraction": half / cfg.trials,
-        "m0_half_ci_low": hlow,
-        "m0_half_ci_high": hhigh,
+        **_proportion(half, cfg.trials, "m0_half_", "fraction"),
         "median_m0": float(np.median(finite)) if finite else None,
         "schedule": cfg.schedule.describe(),
         "schedule_note": "desk-scale schedules skip the asymptotic cap "
@@ -326,31 +322,30 @@ def _ultimate_zero_results(cfg: ExperimentConfig) -> Iterator[dict]:
     C, depth = cfg.C, cfg.M
     per_block = max(1, BLOCK_CELLS // depth)
     zeros = 0
+    trials = _trials(cfg)
     for lo in range(0, cfg.trials, per_block):
         block = cfg.indices[lo:lo + per_block]
         rows = np.empty((len(block), depth), dtype=np.int64)
         fingerprints = np.empty(len(block), dtype=np.uint64)
-        for k, index in enumerate(block):
-            rng, fingerprints[k] = _trial_stream(cfg, index)
-            rows[k] = sample_uniform(depth, C, rng)
+        for k, trial in enumerate(islice(trials, len(block))):
+            _, fingerprints[k], rows[k] = trial
         for index, fingerprint, value in zip(block, fingerprints, batch_ultimate(rows).tolist()):
             zeros += value == 0
             yield {"record": "trial", "trial_index": index, "derived_seed": int(fingerprint),
                    "ultimate_value": value}
-    low, high = wilson_interval(zeros, cfg.trials)
     reference = Fraction(1, 200 * C * C)
+    # The bound's own scale i >= (200*C**2)**(2*C) is far beyond desk reach; the floor
+    # (1/C)**(200*C**2)**(2*C) fits only as a log10, and from C = 30 on not even so (null).
+    floor_fits = (2 * C * math.log10(200 * C * C) + math.log10(math.log10(C))
+                  < math.log10(sys.float_info.max))
     aggregate = {
         "record": "aggregate",
         "trials": cfg.trials,
         "zeros": zeros,
-        "estimate": zeros / cfg.trials,
-        "ci_low": low,
-        "ci_high": high,
+        **_proportion(zeros, cfg.trials),
         "reference_bound": float(reference),
         "exceeds_reference": zeros / cfg.trials > float(reference),
-        # The bound's own scale i >= (200*C**2)**(2*C) is far beyond desk reach;
-        # the unconditional floor (1/C)**(200*C**2)**(2*C) only fits as a log.
-        "floor_log10": -((200 * C * C) ** (2 * C)) * math.log10(C),
+        "floor_log10": -((200 * C * C) ** (2 * C)) * math.log10(C) if floor_fits else None,
     }
     if C**depth <= EXHAUSTIVE_CAP:
         exact = exhaustive_ultimate_zero(C, depth)

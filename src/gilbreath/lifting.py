@@ -83,9 +83,12 @@ class ExoticCertificate:
 
     @classmethod
     def from_json(cls, text: str) -> "ExoticCertificate":
-        """Parse a certificate; ValueError on a missing field or on a
-        non-integer or negative entry."""
-        obj = json.loads(text)
+        """Parse a certificate; ValueError on text that is not JSON, a missing
+        field, or a non-integer or negative entry."""
+        try:
+            obj = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"certificate is not valid JSON: {exc}") from None
         fields = ("d", "initial", "depth_checked", "first_pure_row")
         if not isinstance(obj, dict) or any(k not in obj for k in fields):
             raise ValueError(f"certificate must be a JSON object with {', '.join(fields)}")

@@ -1,10 +1,12 @@
 import csv
 import json
+import math
 import os
 
 import pytest
 
-from gilbreath import experiments, triangle
+from gilbreath import cli, experiments, triangle
+from gilbreath.blocks import detect_event_cascade
 from gilbreath.cli import Finding, _run_id, main
 
 PRIME_TRIANGLE = """\
@@ -93,6 +95,24 @@ def test_blocks_events(capsys):
                        "--events", "5,2")
     assert code == 0
     assert "E_1" in out and "absent" in out and "insufficient_history" in out
+
+
+@pytest.mark.parametrize("events, deepest", [("3,2", 0), ("4,2", 4), ("5,2", 8), ("6,3", 54)])
+def test_blocks_events_builds_only_the_rows_it_reads(capsys, monkeypatch, events, deepest):
+    row = [(7 * k * k + 3 * k) % 4 for k in range(40)]
+    built = []
+
+    def spy(rows, C, R):
+        built.append(len(rows))
+        return detect_event_cascade(rows, C, R)
+
+    monkeypatch.setattr(cli, "detect_event_cascade", spy)
+    code, out, _ = run(capsys, "blocks", "--values", ",".join(map(str, row)), "--events", events)
+    assert code == 0
+    # Rows 0 through the deepest iteration read, capped at the last row.
+    assert built == [min(deepest, len(row) - 1) + 1]
+    full = detect_event_cascade(triangle.triangle_rows(row), *map(int, events.split(",")))
+    assert [line.rsplit(": ", 1)[1] for line in out.splitlines()] == [e.status for e in full]
 
 
 def test_bootstrap_cycle(capsys):
@@ -309,15 +329,19 @@ def test_exotic_search_and_verify(capsys, tmp_path):
     assert code == 0 and "certificate valid" in out
 
 
-@pytest.mark.parametrize("cert", [
-    {},
-    {"d": 3, "initial": [0, "x"], "depth_checked": 1, "first_pure_row": 0},
-], ids=["missing-fields", "non-integer-entry"])
-def test_exotic_verify_malformed_certificate_exits_1(capsys, tmp_path, cert):
+@pytest.mark.parametrize("text, message", [
+    (json.dumps({}), "certificate must be a JSON object"),
+    (json.dumps({"d": 3, "initial": [0, "x"], "depth_checked": 1, "first_pure_row": 0}),
+     "certificate entries must be integers"),
+    ("", "certificate is not valid JSON: Expecting value"),
+    ("{", "certificate is not valid JSON"),
+    ("d = 3", "certificate is not valid JSON"),
+], ids=["missing-fields", "non-integer-entry", "empty", "truncated", "not-json"])
+def test_exotic_verify_malformed_certificate_exits_1(capsys, tmp_path, text, message):
     path = tmp_path / "cert.json"
-    path.write_text(json.dumps(cert))
+    path.write_text(text)
     code, _, err = run(capsys, "exotic", "--verify", str(path))
-    assert code == 1 and "error:" in err
+    assert code == 1 and f"error: {message}" in err
 
 
 def test_exotic_long_seed_row_needs_no_recursion(capsys):
@@ -325,6 +349,19 @@ def test_exotic_long_seed_row_needs_no_recursion(capsys):
     code, out, _ = run(capsys, "exotic", "--seed-row", seed_row, "--cap", "3",
                        "--width", "1300", "--budget", "10")
     assert code == 0 and "none found within budget" in out
+
+
+@pytest.mark.parametrize("C, floor", [
+    (29, -((200 * 29 * 29) ** 58) * math.log10(29)),
+    (30, None),  # -(200*30**2)**60 * log10(30) is beyond float range
+    (10**6, None),  # decided from logarithms, without the 10**8-bit power
+])
+def test_ultimate_zero_floor_log10(capsys, tmp_path, C, floor):
+    out_file = tmp_path / "uz.jsonl"
+    code, _, _ = run(capsys, "experiment", "ultimate-zero", "--C", str(C), "--depth", "3",
+                     "--trials", "2", "--seed", "1", "--out", str(out_file))
+    aggregate = json.loads(out_file.read_text().splitlines()[-1])["result"]
+    assert code == 0 and aggregate["floor_log10"] == floor
 
 
 def test_manifest_on_stderr(capsys):

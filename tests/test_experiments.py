@@ -18,7 +18,7 @@ from gilbreath.experiments import (
     sample_uniform,
     wilson_interval,
 )
-from gilbreath.triangle import batch_ultimate
+from gilbreath.triangle import batch_ultimate, step_array
 
 
 def run(cfg):
@@ -234,11 +234,62 @@ def test_trial_offset_gives_disjoint_batches():
                      schedule=Schedule.constant(3), trial_offset=7),
     ultimate_zero(3, 6, trials=12, seed=4, trial_offset=7),
 ], ids=lambda cfg: cfg.kind)
-def test_trial_records_carry_derived_seed(cfg):
+def test_trial_records_carry_derived_seed(monkeypatch, cfg):
+    streams = []
+    derive = experiments.derive_trial_stream
+
+    def spy(seed, index):
+        streams.append(index)
+        return derive(seed, index)
+
+    monkeypatch.setattr(experiments, "derive_trial_stream", spy)
     trials, _ = run(cfg)
+    assert streams == list(range(7, 19))  # one stream per trial, in index order
     assert [t["trial_index"] for t in trials] == list(range(7, 19))
     for t in trials:
         assert t["derived_seed"] == derived_seed(4, t["trial_index"])
+
+
+WEIGHTS = (0.6, 0.3, 0.1)
+
+
+@pytest.mark.parametrize("cfg, draw", [
+    (ExperimentConfig(kind="uniform_collapse", M=50, trials=12, seed=4, C=3, trial_offset=7),
+     lambda rng: sample_uniform(50, 3, rng)),
+    (ExperimentConfig(kind="uniform_collapse", M=50, trials=12, seed=4, C=3, weights=WEIGHTS,
+                      trial_offset=7),
+     lambda rng: rng.choice(3, size=50, p=WEIGHTS)),
+    (ExperimentConfig(kind="increasing_alphabet", M=50, trials=12, seed=4,
+                      schedule=Schedule.parse("1:2,20:3"), trial_offset=7),
+     lambda rng: sample_schedule(50, Schedule.parse("1:2,20:3"), rng)),
+    (ExperimentConfig(kind="gap_leading_term", M=50, trials=12, seed=4,
+                      schedule=Schedule.constant(3), trial_offset=7),
+     lambda rng: step_array(sample_gap_sequence(50, Schedule.constant(3), rng))),
+    (ultimate_zero(3, 6, trials=12, seed=4, trial_offset=7),
+     lambda rng: sample_uniform(6, 3, rng)),
+], ids=["uniform_collapse", "weighted_collapse", "increasing_alphabet", "gap_leading_term",
+        "ultimate_zero"])
+def test_trials_difference_their_own_stream_rows(monkeypatch, cfg, draw):
+    seen = []
+    if cfg.kind == "ultimate_zero":
+        def spy(rows):
+            seen.extend(np.array(rows))
+            return batch_ultimate(rows)
+
+        monkeypatch.setattr(experiments, "batch_ultimate", spy)
+    else:
+        iterate = experiments.iterate_until
+
+        def spy(row, stop, max_iters):
+            seen.append(np.array(row))
+            return iterate(row, stop, max_iters)
+
+        monkeypatch.setattr(experiments, "iterate_until", spy)
+    run(cfg)
+    # Ultimate-zero's exhaustive 3**6 enumeration follows the trial rows.
+    assert len(seen) == (12 + 3**6 if cfg.kind == "ultimate_zero" else 12)
+    for index, row in zip(range(7, 19), seen):
+        assert row.tolist() == draw(derive_trial_stream(4, index)).tolist()
 
 
 def test_run_memory_does_not_grow_with_trials():
@@ -255,6 +306,24 @@ def test_run_memory_does_not_grow_with_trials():
     per_trial = (peak(5000) - peak(500)) / 4500
     # The medians keep one int per collapsed trial; a held record costs ~290 bytes.
     assert per_trial < 32, f"{per_trial:.1f} bytes per extra trial"
+
+
+@pytest.mark.parametrize("kind", ["uniform_collapse", "increasing_alphabet", "gap_leading_term"])
+def test_next_trial_samples_with_the_last_row_freed(kind):
+    def peak(trials):
+        cfg = ExperimentConfig(kind=kind, M=100_000, trials=trials, seed=0, C=3, T=0,
+                               schedule=Schedule.constant(3))
+        tracemalloc.start()
+        try:
+            deque(run_experiment(cfg), maxlen=0)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(1)  # warm up lazy imports and caches outside the measurement
+    # A row held while the next one is sampled costs 8 to 17 bytes per entry.
+    per_entry = (peak(3) - peak(1)) / 100_000
+    assert per_entry < 1, f"{per_entry:.2f} bytes per entry"
 
 
 def test_collapse_monotone_closure():
