@@ -1,12 +1,6 @@
 """Absolute-difference triangle toolkit: Gilbreath-style verification and experiments."""
 
-from .triangle import (
-    Row,
-    RowExhaustedError,
-    diff_step,
-    iterate_until,
-    ultimate_iterate,
-)
+from .triangle import Row, iterate_until, ultimate_iterate
 from .parity import ParityMask, mask, parity_of_ultimate, prob_even
 from .blocks import (
     BlockReport,

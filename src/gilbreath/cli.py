@@ -52,8 +52,27 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _parse_values(text: str) -> list[int]:
-    return validate_row([int(tok) for tok in text.replace(",", " ").split()])
+def int_row(text: str) -> list[int]:
+    """argparse type for comma-separated rows: a bad entry is a usage error naming the option."""
+    try:
+        return validate_row([int(tok) for tok in text.replace(",", " ").split()])
+    except ValueError as exc:  # argparse would drop a plain ValueError's reason
+        raise argparse.ArgumentTypeError(f"{text!r}: {exc}") from None
+
+
+def int_set(text: str) -> list[int]:
+    """argparse type for value sets (--allowed, --targets), which may be empty."""
+    return int_row(text) if text.strip() else []
+
+
+def seed_or_random(text: str) -> int | str:
+    """argparse type for --seed: an integer, or 'random'."""
+    if text == "random":
+        return text
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer or 'random': {text!r}") from None
 
 
 def fraction(text: str) -> Fraction:
@@ -70,12 +89,11 @@ def int_pair(text: str) -> tuple[int, int]:
     return a, b
 
 
-def _resolve_seed(raw: str) -> int:
-    if raw == "random":
+def _resolve_seed(seed: int | str) -> int:
+    if seed == "random":
         seed = secrets.randbits(63)
         print(f"seed={seed}", file=sys.stderr)
-        return seed
-    return int(raw)
+    return seed
 
 
 def _run_id(subcommand: str, params: dict, seed: int) -> str:
@@ -150,9 +168,14 @@ def _write_records(records: Iterable[dict], fmt: str, out: str | None) -> None:
                 os.remove(tmp)
 
 
+# Options that say where and how records are written, not what they are.
+_OUTPUT_ONLY = ("out", "format", "threads")
+
+
 def _manifest(subcommand: str, params: dict, seed: int, started: float) -> None:
     obj = {
-        "run_id": _run_id(subcommand, params, seed),
+        "run_id": _run_id(subcommand, {k: v for k, v in params.items() if k not in _OUTPUT_ONLY},
+                          seed),
         "subcommand": subcommand,
         "config": params,
         "seed": seed,
@@ -173,7 +196,7 @@ _STOP_CHOICES = {
 
 
 def _cmd_triangle(args) -> list[Group]:
-    row = _parse_values(args.values)
+    row = args.values
     stop = _STOP_CHOICES[args.stop]
     if stop is all_in_zero_d:
         _require(args.d is not None, "--stop zero-d needs --d")
@@ -216,11 +239,10 @@ def _cmd_parity(args) -> list[Group]:
 
 
 def _cmd_blocks(args) -> list[Group]:
-    row = _parse_values(args.values)
+    row = args.values
     groups = []
     if args.allowed is not None:
-        spec = BlockSpec(frozenset(_parse_values(args.allowed) if args.allowed else ()),
-                         require_witness=args.witness)
+        spec = BlockSpec(frozenset(args.allowed), require_witness=args.witness)
         rep = longest_block(row, spec)
         params = {"values": row, "allowed": sorted(spec.allowed), "witness": args.witness}
         result = {"max_length": rep.max_length, "start_index": rep.start_index,
@@ -271,7 +293,7 @@ def _build_graph(args, rng_seed: int) -> tuple[walks.RegularDigraph, np.ndarray,
         return g, red, {"cycle": n}
     if args.debruijn is not None:
         C, k = args.debruijn
-        targets = _parse_values(args.targets) if args.targets else [0]
+        targets = args.targets or [0]
         g = walks.debruijn_graph(C, k)
         red = walks.ultimate_iterate_coloring(C, k, targets)
         return g, red, {"debruijn": [C, k], "targets": targets}
@@ -384,7 +406,7 @@ def _cmd_exotic(args) -> list[Group]:
         return [("exotic_verify", params, [result])]
     _require(args.seed_row is not None and args.cap is not None and args.width is not None,
              "exotic search needs --seed-row, --cap, and --width")
-    seed_row = _parse_values(args.seed_row)
+    seed_row = args.seed_row
     constraint = lifting.LiftConstraint(alphabet_max=args.cap, width_goal=args.width)
     cert = lifting.lift_search(seed_row, constraint, args.budget, _random.Random(args.seed))
     params = {"seed_row": seed_row, "cap": args.cap, "width": args.width, "budget": args.budget}
@@ -409,7 +431,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--seed", default="0",
+        p.add_argument("--seed", type=seed_or_random, default="0",
                        help="integer seed, or 'random' for entropy (default 0)")
         p.add_argument("--out", help="write records to this file")
         p.add_argument("--format", choices=("jsonl", "csv"), default="jsonl")
@@ -417,7 +439,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="deprecated and ignored; runs are single-threaded")
 
     p = sub.add_parser("triangle", help="print the difference triangle of a row")
-    p.add_argument("--values", required=True, help="comma-separated row entries")
+    p.add_argument("--values", type=int_row, required=True, help="comma-separated row entries")
     p.add_argument("--stop", choices=list(_STOP_CHOICES), default="none")
     p.add_argument("--d", type=int, help="d for the zero-d stop rule")
     p.add_argument("--max-iters", type=int)
@@ -431,8 +453,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
 
     p = sub.add_parser("blocks", help="block reports and block-lemma checks")
-    p.add_argument("--values", required=True)
-    p.add_argument("--allowed", help="allowed-value set, e.g. '0,2'")
+    p.add_argument("--values", type=int_row, required=True)
+    p.add_argument("--allowed", type=int_set, help="allowed-value set, e.g. '0,2'")
     p.add_argument("--witness", type=int, help="value the block must contain")
     p.add_argument("--destruction", action="store_true",
                    help="check the max-destruction bound on the row")
@@ -445,7 +467,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cycle", type=int, help="n-cycle with first n/10 vertices red")
     p.add_argument("--debruijn", type=int_pair,
                    help="'C,k' de Bruijn graph with ultimate-iterate coloring")
-    p.add_argument("--targets", help="red targets for --debruijn (default '0')")
+    p.add_argument("--targets", type=int_set, help="red targets for --debruijn (default '0')")
     p.add_argument("--random", dest="random_graph", type=int_pair,
                    help="'n,d' seeded random regular digraph")
     p.add_argument("--red-fraction", type=float, default=0.5)
@@ -481,7 +503,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
 
     p = sub.add_parser("exotic", help="lift a {0,d} row upward into an exotic initial sequence")
-    p.add_argument("--seed-row", help="the {0,d}-valued row to lift")
+    p.add_argument("--seed-row", type=int_row, help="the {0,d}-valued row to lift")
     p.add_argument("--cap", type=int, help="alphabet cap for lifted entries")
     p.add_argument("--width", type=int, help="target initial-row width")
     p.add_argument("--budget", type=int, default=100_000, help="DFS node budget")

@@ -1,6 +1,7 @@
 """Preimage enumeration and upward lifting toward exotic initial sequences.
 
-A row r' of length n+1 is a preimage of r when diff_step(r') = r.  Fixing the
+A row r' of length n+1 is a preimage of r when one differencing step maps r'
+to r, that is r[j] = |r'[j] - r'[j+1]| for every j.  Fixing the
 first entry forces each next one up to a sign, so preimages are enumerated by
 DFS over the two candidates a_{j+1} = a_j +- r[j].  Lifting a {0,d}-valued
 seed row upward within an alphabet cap searches for initial sequences whose
@@ -19,7 +20,7 @@ from .triangle import Row, all_in_zero_d, iterate_until, validate_row
 
 
 def preimages(row: Sequence[int], cap: int) -> Iterator[Row]:
-    """All rows r' with entries in [0, cap] and diff_step(r') = row.
+    """All rows r' with entries in [0, cap] whose differencing step is `row`.
 
     Deterministic order: first entry ascending, then the +difference branch
     before the -difference branch at each position.  The DFS keeps an

@@ -53,25 +53,6 @@ def mask(i: int) -> ParityMask:
     return ParityMask(i, m)
 
 
-def mask_via_binomial(i: int) -> ParityMask:
-    """J_i by binomial parity: position j is a member iff C(i, j-1) is odd.
-
-    By Lucas' theorem C(i, k) is odd iff k is a bit-submask of i.  This sets
-    one bit per submask, 2**popcount(i) big-int ors in all (seconds at
-    i = 2**20 - 1), so it serves only as the test reference for `mask`.
-    """
-    if i < 0:
-        raise ValueError("depth must be >= 0")
-    bits = 0
-    k = i
-    while True:  # enumerate submasks of i, descending
-        bits |= 1 << k
-        if k == 0:
-            break
-        k = (k - 1) & i
-    return ParityMask(i, bits)
-
-
 def parity_of_ultimate(row: Sequence[int]) -> int:
     """Parity of the ultimate iterate, from initial parities alone."""
     if len(row) == 0:

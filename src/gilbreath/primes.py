@@ -20,7 +20,7 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .triangle import iterate_until, never, stabilization_predicate, step_array, zero_or_two
+from .triangle import iterate_until, never, stabilization_predicate, zero_or_two
 
 CHECKPOINT_MAGIC = b"GILB"
 CHECKPOINT_VERSION = 2
@@ -200,13 +200,3 @@ def verify_gilbreath(
     if not S:  # the sieve ended within D gaps: they all form the first window
         S = _window_stop(tail, 0, D)
     return S if isinstance(S, Verdict) else Verdict("verified", seen, S, S - 1)
-
-
-def naive_first_column(N: int) -> list[int]:
-    """First entry of every triangle row, by building the whole triangle (test oracle)."""
-    row = np.diff(np.concatenate(list(sieve_segments(SieveConfig(N)))))
-    firsts = [int(row[0])]
-    while row.size > 1:
-        row = step_array(row)
-        firsts.append(int(row[0]))
-    return firsts

@@ -3,9 +3,9 @@
 One differencing step maps a row (a_1, ..., a_n) of non-negative integers to
 (|a_1 - a_2|, ..., |a_{n-1} - a_n|).  Repeating the step builds the difference
 triangle; a row of length n collapses to a single value (its "ultimate
-iterate") after n - 1 steps.  Scalar operations work on Python lists; the one
-array kernel, `step_array`, differences 1-D rows and 2-D batches alike, and
-`iterate_until` is the one "difference until stop, exhausted or budget" loop.
+iterate") after n - 1 steps.  The one kernel, `step_array`, differences 1-D
+rows and 2-D batches alike, and `iterate_until` is the one "difference until
+stop, exhausted or budget" loop; lists and Python ints go through both.
 """
 
 from __future__ import annotations
@@ -16,10 +16,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 Row = list[int]
-
-
-class RowExhaustedError(ValueError):
-    """Raised when a differencing step is asked for on a length-1 row."""
 
 
 class Finding(Exception):
@@ -38,23 +34,6 @@ def validate_row(values: Sequence[int]) -> Row:
     if any(v < 0 for v in row):
         raise ValueError("row entries must be non-negative")
     return row
-
-
-def diff_step(row: Sequence[int]) -> Row:
-    """One differencing step: [|row[j] - row[j+1]| for j]."""
-    if len(row) < 2:
-        raise RowExhaustedError("row exhausted: cannot difference a length-1 row")
-    return [abs(a - b) for a, b in zip(row, row[1:])]
-
-
-def ultimate_iterate(row: Sequence[int]) -> int:
-    """The single value a row reduces to after len(row) - 1 differencing steps."""
-    cur = list(row)
-    if not cur:
-        raise ValueError("row must have length >= 1")
-    while len(cur) > 1:
-        cur = diff_step(cur)
-    return cur[0]
 
 
 def step_array(rows: np.ndarray) -> np.ndarray:
@@ -131,6 +110,11 @@ def first_not_one(row: np.ndarray) -> bool:
 def never(row: np.ndarray) -> bool:
     """Never stops: iterate until the row is exhausted or the budget runs out."""
     return False
+
+
+def ultimate_iterate(row: Sequence[int]) -> int:
+    """The single value a row reduces to after len(row) - 1 differencing steps."""
+    return int(iterate_until(row, never, len(row) - 1).row[0])
 
 
 def triangle_rows(row: Sequence[int], depth: int | None = None) -> list[Row]:

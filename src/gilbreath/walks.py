@@ -228,7 +228,11 @@ def parse_walk_instance(text: str) -> tuple[RegularDigraph, np.ndarray | None]:
         toks = lines[1 + v].split()
         if len(toks) != d:
             raise ValueError(f"vertex {v}: expected {d} successors, found {len(toks)}")
-        out.append([int(t) for t in toks])
+        try:
+            out.append([int(t) for t in toks])
+        except ValueError:
+            raise ValueError(f"vertex {v}: successors must be integers, "
+                             f"found {lines[1 + v]!r}") from None
     g = RegularDigraph(out)
     red = None
     if len(lines) > 1 + n:

@@ -23,7 +23,7 @@ from gilbreath.experiments import (
 )
 from gilbreath.lifting import ExoticCertificate, verify_certificate
 from gilbreath.parity import parity_of_ultimate, prob_even
-from gilbreath.primes import naive_first_column, verify_gilbreath
+from gilbreath.primes import verify_gilbreath
 from gilbreath.triangle import batch_ultimate, enumerate_rows, triangle_rows
 from gilbreath.walks import (
     all_red_probability,
@@ -32,6 +32,7 @@ from gilbreath.walks import (
     random_regular_digraph,
     remark_counterexample,
 )
+from oracles import naive_first_column
 
 PRIME_ROWS = [
     [2, 3, 5, 7, 11, 13, 17],

@@ -12,7 +12,8 @@ from gilbreath.blocks import (
     detect_event_cascade,
     longest_block,
 )
-from gilbreath.triangle import diff_step, triangle_rows
+from gilbreath.triangle import triangle_rows
+from oracles import diff_step
 
 
 def brute_longest_block(row, allowed, witness=None):

@@ -2,6 +2,8 @@ import csv
 import json
 import math
 import os
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -164,6 +166,33 @@ def test_bad_input_names_the_input(capsys, argv, message):
     code, _, err = run(capsys, *argv)
     assert code == 1
     assert message in err and "unpack" not in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("triangle", "--values", "1,a"),
+     "argument --values: '1,a': invalid literal for int() with base 10: 'a'"),
+    (("triangle", "--values", "3,-1"),
+     "argument --values: '3,-1': row entries must be non-negative"),
+    (("triangle", "--values", "1,2", "--seed", "abc"),
+     "argument --seed: not an integer or 'random': 'abc'"),
+    (("blocks", "--values", "1,2", "--allowed", "0,x"),
+     "argument --allowed: '0,x': invalid literal"),
+    (("bootstrap", "--debruijn", "3,2", "--targets", "0,y", "--length", "4"),
+     "argument --targets: '0,y': invalid literal"),
+    (("exotic", "--seed-row", "0,z", "--cap", "3", "--width", "4"),
+     "argument --seed-row: '0,z': invalid literal"),
+], ids=["values", "negative", "seed", "allowed", "targets", "seed-row"])
+def test_bad_entry_names_the_option(capsys, argv, message):
+    code, _, err = run(capsys, *argv)
+    assert code == 1 and message in err
+
+
+def test_bootstrap_graph_file_bad_successor_names_the_vertex(capsys, tmp_path):
+    path = tmp_path / "g.txt"
+    path.write_text("2 2\n0 1\nx 1\nrb\n")
+    code, _, err = run(capsys, "bootstrap", "--graph", str(path), "--length", "3")
+    assert code == 1
+    assert "error: vertex 1: successors must be integers, found 'x 1'" in err
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -375,6 +404,20 @@ def test_manifest_on_stderr(capsys):
     assert json.loads(err2.splitlines()[-1])["run_id"] == manifest["run_id"]
 
 
+@pytest.mark.parametrize("extra", [("--out", "t.jsonl"), ("--format", "csv", "--out", "t.csv"),
+                                   ("--threads", "8")], ids=["out", "csv", "threads"])
+def test_manifest_run_id_ignores_output_options(capsys, tmp_path, monkeypatch, extra):
+    monkeypatch.chdir(tmp_path)
+    manifests = []
+    for argv in ((), extra):
+        code, _, err = run(capsys, "triangle", "--values", "2,3,5", *argv)
+        assert code == 0
+        manifests.append(json.loads(err.splitlines()[-1]))
+    plain, other = manifests
+    assert other["run_id"] == plain["run_id"]
+    assert other["config"] != plain["config"]  # the echo still shows every option
+
+
 def test_seed_random_prints_choice(capsys):
     code, _, err = run(capsys, "parity", "--depth", "2", "--seed", "random")
     assert code == 0
@@ -390,3 +433,22 @@ def test_threads_env_fallback(capsys, tmp_path, monkeypatch):
     monkeypatch.delenv("GILBREATH_THREADS")
     assert run(capsys, *args, "--threads", "1", "--out", str(f2))[0] == 0
     assert f1.read_bytes() == f2.read_bytes()
+
+
+def readme_examples() -> list[list[str]]:
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = text.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    return [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("gilbreath ")]
+
+
+def test_readme_examples_run(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    examples = readme_examples()
+    assert len(examples) >= 10
+    for argv in examples:
+        code, _, err = run(capsys, *argv)
+        assert code == 0, (argv, err)
+        # every file an example names is written
+        for opt in ("--out", "--checkpoint"):
+            if opt in argv:
+                assert (tmp_path / argv[argv.index(opt) + 1]).is_file(), argv

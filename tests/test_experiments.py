@@ -1,5 +1,5 @@
 import tracemalloc
-from collections import deque
+from collections import Counter, deque
 from fractions import Fraction
 
 import numpy as np
@@ -18,7 +18,8 @@ from gilbreath.experiments import (
     sample_uniform,
     wilson_interval,
 )
-from gilbreath.triangle import batch_ultimate, step_array
+from gilbreath.triangle import batch_ultimate, enumerate_rows, step_array
+from oracles import exact_m0_distribution
 
 
 def run(cfg):
@@ -162,6 +163,8 @@ def test_leading_term_prime_prefix_behaviour():
     for t in trials:
         assert t["m0"] == 1
         assert t["leading_term_trace"] == [[1, 100]]
+    # and so for every sequence, not only the sampled ones
+    assert exact_m0_distribution(2, 12) == (Counter({1: 2**11}), 0)
 
 
 def test_leading_term_wider_schedule():
@@ -174,6 +177,39 @@ def test_leading_term_wider_schedule():
     for t in trials:
         assert sum(c for _, c in t["leading_term_trace"]) == 400
         assert t["leading_term_trace"][-1][0] == 1
+
+
+def test_leading_term_matches_exact_m0_distribution():
+    # f = 3, M = 10: all 3**9 gap sequences against 4,000 trials, within 3 SE.
+    f, M, trials = 3, 10, 4000
+    counts, null = exact_m0_distribution(f, M)
+    total = f ** (M - 1)
+    assert sum(counts.values()) + null == total and null > 0
+    assert 2 not in counts  # row 1 starts with the gap 3 - 2 = 1
+    cfg = ExperimentConfig(kind="gap_leading_term", M=M, trials=trials, seed=0,
+                           schedule=Schedule.constant(f))
+    results, aggregate = run(cfg)
+    half = sum(c for m, c in counts.items() if m <= M / 2)
+    for exact, observed in [
+        (half / total, aggregate["m0_half_fraction"]),
+        (counts[1] / total, sum(t["m0"] == 1 for t in results) / trials),
+        (1 - null / total, aggregate["estimate"]),
+    ]:
+        se = (exact * (1 - exact) / trials) ** 0.5
+        assert abs(observed - exact) <= 3 * se, (exact, observed)
+
+
+def test_exact_m0_distribution_matches_the_experiment(monkeypatch):
+    # Feed the experiment every gap sequence once, in place of its sampler.
+    f, M = 3, 7
+    u = enumerate_rows(f, M - 1)
+    first_two = np.tile([2, 3], (len(u), 1))
+    seqs = iter(np.hstack([first_two, 3 + 2 * np.cumsum(u, axis=1)]))
+    monkeypatch.setattr(experiments, "sample_gap_sequence", lambda M, schedule, rng: next(seqs))
+    results, _ = run(ExperimentConfig(kind="gap_leading_term", M=M, trials=len(u), seed=0,
+                                      schedule=Schedule.constant(f)))
+    counts, null = exact_m0_distribution(f, M)
+    assert Counter(t["m0"] for t in results) == counts + Counter({None: null})
 
 
 def test_ultimate_zero_exact_small():

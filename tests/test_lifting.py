@@ -13,7 +13,8 @@ from gilbreath.lifting import (
     preimages,
     verify_certificate,
 )
-from gilbreath.triangle import diff_step, triangle_rows
+from gilbreath.triangle import triangle_rows
+from oracles import diff_step
 
 EXOTIC_TOP = [2, 0, 6, 0, 2, 2, 6, 5, 0, 0, 6, 1, 3, 2, 2, 3, 0, 6, 0, 5]
 EXOTIC_SEED = [0, 0, 0, 3, 3, 0, 0, 0, 0, 0, 0, 0]

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from gilbreath.parity import mask, mask_via_binomial, parity_of_ultimate, prob_even
-from gilbreath.triangle import ultimate_iterate
+from gilbreath.parity import mask, parity_of_ultimate, prob_even
+from oracles import mask_via_binomial, ultimate_iterate
 
 
 def test_mask_small_depths():

@@ -12,12 +12,12 @@ from gilbreath.primes import (
     SieveConfig,
     Verdict,
     load_checkpoint,
-    naive_first_column,
     sieve_segments,
     stabilization_predicate,
     verify_gilbreath,
 )
 from gilbreath.triangle import never, zero_or_two
+from oracles import naive_first_column
 
 
 def sieved(limit: int, segment_size: int = 1 << 20, start: int = 2) -> list[int]:
