@@ -66,13 +66,20 @@ def int_set(text: str) -> list[int]:
 
 
 def seed_or_random(text: str) -> int | str:
-    """argparse type for --seed: an integer, or 'random'."""
+    """argparse type for --seed: an integer >= 0, or 'random'.
+
+    random.Random seeds with abs(n), so a negative seed would repeat the draws
+    of a positive one under another run_id.
+    """
     if text == "random":
         return text
     try:
-        return int(text)
+        seed = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not an integer or 'random': {text!r}") from None
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0: {text!r}")
+    return seed
 
 
 def fraction(text: str) -> Fraction:

@@ -26,6 +26,9 @@ CHECKPOINT_MAGIC = b"GILB"
 CHECKPOINT_VERSION = 2
 # magic, version, then the Checkpoint fields before `tail`.
 CHECKPOINT_HEADER = "<4sIQQQQQ"
+# The odd primes the sieve's pre-sieve pattern crosses off, and its period in odd cells.
+WHEEL = (3, 5, 7, 11, 13)
+WHEEL_CELLS = 3 * 5 * 7 * 11 * 13
 
 
 @dataclass(frozen=True)
@@ -50,18 +53,41 @@ def _simple_sieve(limit: int) -> np.ndarray:
 
 
 def sieve_segments(cfg: SieveConfig, start: int = 2) -> Iterator[np.ndarray]:
-    """Primes in [start, limit] as a stream of in-order int64 arrays, one per segment."""
-    base = _simple_sieve(math.isqrt(cfg.limit))
+    """Primes in [start, limit] as a stream of in-order int64 arrays, one per segment.
+
+    A segment spans `segment_size` numbers but sieves only its odd ones: cell
+    j stands for 2j + 1.  Each segment's cells start as a copy of a pattern
+    with the multiples of 3, 5, 7, 11 and 13 already crossed off (period
+    15,015 odd cells), so each base prime above 13 crosses off only its odd
+    multiples: the wheel pre-sieve of primesieve
+    (https://github.com/kimwalisch/primesieve).
+    """
     low = max(start, 2)
+    base = _simple_sieve(math.isqrt(cfg.limit))
+    base = base[base > WHEEL[-1]]
+    # Cell j holds 2j + 1: p's own cell is p // 2, and its odd multiples are
+    # every p-th cell from there.  Sieving starts at p * p, in cell p * p // 2.
+    own_cell, square_cell = base // 2, base * base // 2
+    pattern = np.ones(WHEEL_CELLS, dtype=bool)
+    for p in WHEEL:
+        pattern[p // 2 :: p] = False
+    span = max(min(cfg.segment_size, cfg.limit + 1 - low), 0)
+    pattern = np.tile(pattern, -(-(span // 2 + 1 + WHEEL_CELLS) // WHEEL_CELLS))
     while low <= cfg.limit:
         high = min(low + cfg.segment_size, cfg.limit + 1)  # exclusive
-        mask = np.ones(high - low, dtype=bool)
-        for p in base:
-            p = int(p)
-            first = max(p * p, ((low + p - 1) // p) * p)
-            if first < high:
-                mask[first - low :: p] = False
-        yield np.flatnonzero(mask) + low
+        lo, hi = low // 2, high // 2  # cells lo..hi-1 hold the odd numbers in [low, high)
+        mask = pattern[lo % WHEEL_CELLS :][: hi - lo].copy()
+        n = int(np.searchsorted(square_cell, hi))
+        first = np.maximum(square_cell[:n], lo)
+        first += (own_cell[:n] - first) % base[:n] - lo
+        for p, j in zip(base[:n].tolist(), first.tolist()):
+            mask[j::p] = False
+        found = np.flatnonzero(mask)
+        found *= 2
+        found += 2 * lo + 1
+        # The wheel crossed off its own primes; each is below every other prime.
+        head = [q for q in (2,) + WHEEL if low <= q < high]
+        yield np.concatenate([np.array(head, dtype=np.int64), found]) if head else found
         low = high
 
 

@@ -187,6 +187,18 @@ def test_bad_entry_names_the_option(capsys, argv, message):
     assert code == 1 and message in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("bootstrap", "--random", "6,2", "--length", "3"),
+    ("exotic", "--seed-row", "0,3", "--cap", "3", "--width", "4"),
+    ("experiment", "ultimate-zero", "--C", "3", "--depth", "5", "--trials", "2"),
+], ids=["bootstrap", "exotic", "experiment"])
+def test_negative_seed_exits_1(capsys, argv):
+    # random.Random(-1) draws what random.Random(1) draws, under another run_id.
+    code, out, err = run(capsys, *argv, "--seed", "-1")
+    assert code == 1 and not out
+    assert "argument --seed: must be >= 0: '-1'" in err
+
+
 def test_bootstrap_graph_file_bad_successor_names_the_vertex(capsys, tmp_path):
     path = tmp_path / "g.txt"
     path.write_text("2 2\n0 1\nx 1\nrb\n")

@@ -1,7 +1,7 @@
 import hashlib
 import json
 import struct
-from itertools import product
+from itertools import islice, product
 
 import numpy as np
 import pytest
@@ -70,6 +70,36 @@ def test_sieve_counts():
     assert sieved(10**5, segment_size=101, start=4999) == [p for p in sieved(10**5) if p >= 4999]
 
 
+def test_sieve_matches_simple_sieve_to_2000():
+    expected = primes._simple_sieve(2000).tolist()
+    for limit in range(2, 2001):
+        assert sieved(limit) == [p for p in expected if p <= limit], limit
+
+
+PERIOD = 2 * primes.WHEEL_CELLS  # 30,030 numbers; odd cell 15,015 holds 30,031
+
+
+@pytest.mark.parametrize("segment_size", (1, 2, 3, 7, 64, 101, 15_015, 30_030))
+def test_sieve_across_the_pattern_period(segment_size):
+    # The pre-sieve pattern starts over at cell 15,015, the number 30,031.  A
+    # resume restarts at last_prime + 1, which is even after the first
+    # segment, so both parities start next to the edge.  Each walk stops after
+    # 500 segments: from the small starts, segments of 61 numbers or more
+    # still reach the edge, and the starts next to it carry the smaller ones.
+    expected = primes._simple_sieve(PERIOD + 3).tolist()
+    for limit in (PERIOD, PERIOD + 1, PERIOD + 3):
+        for start in (2, 3, 4, 13, 14, PERIOD - 11, PERIOD - 10):
+            segs = islice(sieve_segments(SieveConfig(limit, segment_size), start), 500)
+            stop = min(limit, start + 500 * segment_size - 1)
+            assert np.concatenate(list(segs)).tolist() == [
+                p for p in expected if start <= p <= stop], (limit, start)
+
+
+@pytest.mark.parametrize("segment_size", (1 << 20, 100_001))
+def test_sieve_pi_1e7(segment_size):
+    assert sum(seg.size for seg in sieve_segments(SieveConfig(10**7, segment_size))) == 664_579
+
+
 def test_sieve_config_validation():
     with pytest.raises(ValueError):
         SieveConfig(1)
@@ -128,7 +158,7 @@ def test_verify_small_limits():
     assert v.stabilization_row == 1  # single gap row [1]
 
 
-@pytest.mark.parametrize("limit, row", [(10**6, 95), (10**7, 135)])
+@pytest.mark.parametrize("limit, row", [(10**6, 95), (10**7, 135), (3 * 10**7, 162)])
 def test_stabilization_rows(limit, row):
     v = verify_gilbreath(limit)
     assert (v.status, v.stabilization_row, v.rows_iterated) == ("verified", row, row - 1)
