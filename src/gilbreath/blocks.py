@@ -135,25 +135,28 @@ class EventReport:
     status: str  # "fired" | "absent" | "insufficient_history"
 
 
-def detect_event_cascade(rows: list[Row], C: int, R: int) -> list[EventReport]:
-    """Event diagnostics for j = 1..C-2 on successive triangle rows from row 0: a
+def detect_event_cascade(row: Sequence[int], C: int, R: int) -> list[EventReport]:
+    """Event diagnostics for j = 1..C-2 on the triangle under `row`: a
     {0,C-j}-block of length R**j after 2*R**(j-1) iterations (0 for j = 1).
 
-    Thresholds are exact integers; no floor/ceiling smoothing.
+    Only the current event's row is held; each is differenced down from the
+    one before.  Thresholds are exact integers; no floor/ceiling smoothing.
     """
     if C < 3:
         raise ValueError("alphabet size must be >= 3 for a non-empty cascade")
     if R < 1:
         raise ValueError("scale R must be >= 1")
     reports = []
+    cur, at = row, 0  # the row at iteration `at`
     for j in range(1, C - 1):
         iteration = 0 if j == 1 else 2 * R ** (j - 1)
         required = R**j
         allowed = (0, C - j)
-        if iteration >= len(rows):
+        if iteration >= len(row):
             reports.append(EventReport(j, iteration, allowed, required, "insufficient_history"))
             continue
-        got = longest_block(rows[iteration], BlockSpec(frozenset(allowed))).max_length
+        cur, at = iterate_until(cur, never, iteration - at).row, iteration
+        got = longest_block(cur, BlockSpec(frozenset(allowed))).max_length
         status = "fired" if got >= required else "absent"
         reports.append(EventReport(j, iteration, allowed, required, status))
     return reports

@@ -20,6 +20,7 @@ import secrets
 import sys
 import tempfile
 import time
+from dataclasses import asdict
 from fractions import Fraction
 from typing import Iterable, Iterator
 
@@ -35,7 +36,6 @@ from .triangle import (
     iterate_until,
     never,
     stabilization_predicate,
-    triangle_rows,
     validate_row,
 )
 
@@ -208,8 +208,7 @@ def _cmd_triangle(args) -> list[Group]:
     if stop is all_in_zero_d:
         _require(args.d is not None, "--stop zero-d needs --d")
         stop = all_in_zero_d(args.d)
-    budget = args.max_iters if args.max_iters is not None else len(row) - 1
-    res = iterate_until(row, stop, budget, retain=True)
+    res = iterate_until(row, stop, args.max_iters, retain=True)
     for r in res.rows:
         print(" ".join(str(v) for v in r))
     params = {"values": row, "stop": args.stop, "max_iters": args.max_iters, "d": args.d}
@@ -229,15 +228,15 @@ def _cmd_parity(args) -> list[Group]:
     if args.prob_even is not None:
         (c_lo, c_hi), (i_lo, i_hi) = args.prob_even, args.depths
         _require(c_lo <= c_hi and i_lo <= i_hi, "--prob-even and --depths need MIN <= MAX")
-        lo, hi = None, None
+        probs = []
         for C in range(c_lo, c_hi + 1):
             for i in range(i_lo, i_hi + 1):
                 p = parity.prob_even(C, i)
-                lo = p if lo is None or p < lo else lo
-                hi = p if hi is None or p > hi else hi
+                probs.append(p)
                 params = {"C": C, "depth": i}
                 result = {"prob_even": f"{p.numerator}/{p.denominator}", "float": float(p)}
                 groups.append(("prob_even", params, [result]))
+        lo, hi = min(probs), max(probs)
         print(f"prob_even over C in [{c_lo},{c_hi}], depth in [{i_lo},{i_hi}]: "
               f"min {lo} ({float(lo):.6f}), max {hi} ({float(hi):.6f})")
     if not groups:
@@ -252,28 +251,20 @@ def _cmd_blocks(args) -> list[Group]:
         spec = BlockSpec(frozenset(args.allowed), require_witness=args.witness)
         rep = longest_block(row, spec)
         params = {"values": row, "allowed": sorted(spec.allowed), "witness": args.witness}
-        result = {"max_length": rep.max_length, "start_index": rep.start_index,
-                  "witness_present": rep.witness_present}
         print(f"longest block: length {rep.max_length} at position {rep.start_index}")
-        groups.append(("block_report", params, [result]))
+        groups.append(("block_report", params, [asdict(rep)]))
     if args.destruction:
         verdict = check_block_destruction(row)
-        params = {"values": row}
-        result = {"applicable": verdict.applicable, "holds": verdict.holds, "d": verdict.d,
-                  "block_length": verdict.block_length, "observed_max": verdict.observed_max}
         print(f"max-destruction: d={verdict.d} L={verdict.block_length} "
               f"applicable={verdict.applicable} holds={verdict.holds}")
-        groups.append(("block_destruction", params, [result]))
+        groups.append(("block_destruction", {"values": row}, [asdict(verdict)]))
         if verdict.applicable and not verdict.holds:
             raise Finding("max-destruction bound falsified", {"row": row})
     if args.events is not None:
         C, R = args.events
-        deepest = 2 * R ** (C - 3) if C > 3 and R > 0 else 0  # the last row the cascade reads
-        reports = detect_event_cascade(triangle_rows(row, min(deepest, len(row) - 1)), C, R)
+        reports = detect_event_cascade(row, C, R)
         params = {"values": row, "C": C, "R": R}
-        result = {"events": [{"j": e.j, "iteration": e.iteration, "allowed": list(e.allowed),
-                              "required_length": e.required_length, "status": e.status}
-                             for e in reports]}
+        result = {"events": [asdict(e) for e in reports]}
         for e in reports:
             print(f"E_{e.j}: iteration {e.iteration}, {{0,{e.allowed[1]}}}-block of length "
                   f">= {e.required_length}: {e.status}")
@@ -313,21 +304,19 @@ def _build_graph(args, rng_seed: int) -> tuple[walks.RegularDigraph, np.ndarray,
     raise ValueError("bootstrap: give one of --graph/--cycle/--debruijn/--random")
 
 
+def _exact_fractions(items: list[tuple[str, object]]) -> dict:
+    """asdict factory: each Fraction as its exact str(), 'n/d' or a whole 'n'."""
+    return {k: str(v) if isinstance(v, Fraction) else v for k, v in items}
+
+
 def _cmd_bootstrap(args) -> list[Group]:
     g, red, source = _build_graph(args, args.seed)
     L = args.length
     verdict = walks.check_bootstrap(g, red, L, args.c)
     c = args.c if args.c is not None else verdict.short_probability
     params = dict(source, n=g.n, d=g.d, length=L, c=str(c))
-    result = {
-        "hypothesis_met": verdict.hypothesis_met,
-        "holds": verdict.holds,
-        "short_probability": str(verdict.short_probability),
-        "short_float": float(verdict.short_probability),
-        "long_probability": None if verdict.long_probability is None else str(verdict.long_probability),
-        "long_length": verdict.long_length,
-        "threshold": str(verdict.threshold),
-    }
+    result = asdict(verdict, dict_factory=_exact_fractions)
+    result["short_float"] = float(verdict.short_probability)
     print(f"all-red P(L={L}) = {verdict.short_probability} "
           f"({float(verdict.short_probability):.6g})")
     if verdict.hypothesis_met:
@@ -390,13 +379,10 @@ def _cmd_primes(args) -> list[Group]:
         print(verdict.status)
     print(f"rows confirmed: {verdict.verified_rows}, full rows iterated: {verdict.rows_iterated}")
     params = {"limit": args.limit, "max_full_rows": args.max_full_rows}
-    result = {"status": verdict.status, "verified_rows": verdict.verified_rows,
-              "stabilization_row": verdict.stabilization_row,
-              "rows_iterated": verdict.rows_iterated}
     if verdict.status == "violated":
         raise Finding("leading entry != 1 in the prime difference triangle",
-                      {"limit": args.limit, "row": verdict.violation_row})
-    return [("primes", params, [result])]
+                      {"limit": args.limit, "row": verdict.verified_rows + 1})
+    return [("primes", params, [asdict(verdict)])]
 
 
 def _cmd_exotic(args) -> list[Group]:
@@ -423,7 +409,7 @@ def _cmd_exotic(args) -> list[Group]:
     else:
         print(f"found width-{len(cert.initial)} initial row, {{0,{cert.d}}}-pure from row "
               f"{cert.first_pure_row}: {' '.join(str(v) for v in cert.initial)}")
-        result = {"found": True, **json.loads(cert.to_json())}
+        result = {"found": True, **asdict(cert)}
     return [("exotic_search", params, [result])]
 
 
@@ -484,8 +470,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
 
     p = sub.add_parser("experiment", help="seeded Monte Carlo runs, JSONL trials + aggregate")
-    p.add_argument("experiment_kind",
-                   choices=("collapse", "leading-term", "ultimate-zero", "increasing-alphabet"))
+    p.add_argument("experiment_kind", choices=list(_EXPERIMENTS))
     p.add_argument("--M", type=int, help="sequence length")
     p.add_argument("--C", type=int, help="alphabet size")
     p.add_argument("--f", help="alphabet schedule: constant 'k' or '1:k1,n2:k2,...'")
@@ -548,10 +533,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     finally:
-        if hasattr(args, "seed") and isinstance(args.seed, int):
-            public = {k: v for k, v in vars(args).items()
-                      if k not in ("command", "seed") and not callable(v)}
-            _manifest(args.command, public, args.seed, started)
+        public = {k: v for k, v in vars(args).items() if k not in ("command", "seed")}
+        _manifest(args.command, public, args.seed, started)
     return EXIT_OK
 
 

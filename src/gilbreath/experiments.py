@@ -162,10 +162,11 @@ def derived_seed(master_seed: int, trial_index: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def wilson_interval(successes: int, n: int, z: float = 1.96) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion."""
+def wilson_interval(successes: int, n: int) -> tuple[float, float]:
+    """95% Wilson score interval for a binomial proportion."""
     if n < 1:
         raise ValueError("need at least one observation")
+    z = 1.96
     phat = successes / n
     denom = 1 + z * z / n
     center = (phat + z * z / (2 * n)) / denom

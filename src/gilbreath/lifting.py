@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Iterator, Sequence
 
 from .triangle import Row, all_in_zero_d, iterate_until, validate_row
@@ -72,15 +72,7 @@ class ExoticCertificate:
     first_pure_row: int
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "d": self.d,
-                "initial": list(self.initial),
-                "depth_checked": self.depth_checked,
-                "first_pure_row": self.first_pure_row,
-            },
-            sort_keys=True,
-        )
+        return json.dumps(asdict(self), sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str) -> "ExoticCertificate":
@@ -109,10 +101,10 @@ def _first_pure_row(initial: Sequence[int], d: int) -> int | None:
     which would contradict |a-b| in {0,d} for a,b in {0,d}.
     """
     pure = all_in_zero_d(d)
-    first = iterate_until(initial, pure, len(initial) - 1)
+    first = iterate_until(initial, pure)
     if first.reason != "stop":
         return None
-    rest = iterate_until(first.row, lambda row: not pure(row), len(first.row) - 1)
+    rest = iterate_until(first.row, lambda row: not pure(row))
     return None if rest.reason == "stop" else first.iterations
 
 
@@ -133,7 +125,7 @@ def lift_search(
     until the row reaches width_goal or `budget` nodes have been expanded.
 
     Child order is shuffled by `rng`; results are deterministic for a fixed
-    seed.  The DFS keeps an explicit stack of shuffled levels, so deep lifts
+    seed.  The DFS keeps one explicit stack of pending rows, so deep lifts
     need no recursion.  Returns None when the budget is exhausted.
     """
     if budget < 0:
@@ -144,22 +136,20 @@ def lift_search(
         raise ValueError("seed row must be {0,d}-valued")
 
     nodes = 0
-    stack: list[Iterator[Row]] = []
-    top: Row | None = seed
-    # Expand `top` while the budget lasts, then move on to the next row in DFS
-    # order; the first row that reaches width_goal ends the search.
-    while top is not None and len(top) < constraint.width_goal:
+    stack = [seed]
+    # The first row that reaches width_goal ends the search; every other row
+    # is expanded while the budget lasts, its children pushed so that the
+    # first shuffled child is popped next.
+    while stack:
+        top = stack.pop()
+        if len(top) >= constraint.width_goal:
+            break
         if nodes < budget:
             nodes += 1
             level = list(preimages(top, constraint.alphabet_max))
             rng.shuffle(level)
-            stack.append(iter(level))
-        top = None
-        while stack and top is None:
-            top = next(stack[-1], None)
-            if top is None:
-                stack.pop()
-    if top is None:
+            stack.extend(reversed(level))
+    else:
         return None
     # Re-derive the pure depth by explicit iteration rather than trusting the
     # construction; the same scan checks the closure below it.

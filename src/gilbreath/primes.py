@@ -97,7 +97,6 @@ class Verdict:
     verified_rows: int
     stabilization_row: int | None
     rows_iterated: int
-    violation_row: int | None = None
 
 
 class Checkpoint(NamedTuple):
@@ -164,7 +163,7 @@ def _window_stop(window: np.ndarray, S: int, D: int) -> int | Verdict:
     if res.reason != "stop":
         return Verdict("inconclusive", D + 1, None, D)
     if not S and res.row[0] != 1:
-        return Verdict("violated", row - 1, None, row - 1, violation_row=row)
+        return Verdict("violated", row - 1, None, row - 1)
     return row
 
 

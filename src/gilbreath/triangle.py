@@ -114,13 +114,12 @@ def never(row: np.ndarray) -> bool:
 
 def ultimate_iterate(row: Sequence[int]) -> int:
     """The single value a row reduces to after len(row) - 1 differencing steps."""
-    return int(iterate_until(row, never, len(row) - 1).row[0])
+    return int(iterate_until(row, never).row[0])
 
 
 def triangle_rows(row: Sequence[int], depth: int | None = None) -> list[Row]:
     """The triangle under `row`, down to length 1 or `depth` iterations."""
-    budget = len(row) - 1 if depth is None else depth
-    return iterate_until(row, never, budget, retain=True).rows
+    return iterate_until(row, never, depth, retain=True).rows
 
 
 @dataclass
@@ -135,17 +134,18 @@ class IterationResult:
 def iterate_until(
     row: Sequence[int] | np.ndarray,
     stop: Callable[[np.ndarray], bool],
-    max_iters: int,
+    max_iters: int | None = None,
     retain: bool = False,
 ) -> IterationResult:
     """Difference until `stop(row)` is true, the row shrinks to length 1, or the budget runs out.
 
-    The stop predicate is tested on every row before its step, so a row that
-    already matches reports 0 iterations.  `reason` says which condition
-    fired first.  A 1-D integer ndarray is stop-tested in its own dtype until
-    `step_array` narrows it, and its final row is returned as an array; any
-    other sequence is validated, iterated as int64 (object past int64) and
-    returned as a list.
+    With `max_iters` None the budget is the whole triangle, so only "stop" or
+    "exhausted" can end the loop.  The stop predicate is tested on every row
+    before its step, so a row that already matches reports 0 iterations.
+    `reason` says which condition fired first.  A 1-D integer ndarray is
+    stop-tested in its own dtype until `step_array` narrows it, and its final
+    row is returned as an array; any other sequence is validated, iterated as
+    int64 (object past int64) and returned as a list.
     """
     as_array = isinstance(row, np.ndarray)
     if as_array:
@@ -156,7 +156,9 @@ def iterate_until(
         values = validate_row(row)
         # Past int64, exact Python ints; numpy left to infer could pick float64.
         cur = np.array(values, dtype=object if max(values) >= 2**63 else np.int64)
-    if max_iters < 0:
+    if max_iters is None:
+        max_iters = cur.size - 1
+    elif max_iters < 0:
         raise ValueError("max_iters must be >= 0")
     rows = [] if retain else None
     firsts = []

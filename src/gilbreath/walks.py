@@ -154,7 +154,7 @@ def remark_counterexample(n: int):
     return g, red, L, c, long_prob
 
 
-def debruijn_graph(C: int, k: int, cap: int = DEBRUIJN_VERTEX_CAP) -> RegularDigraph:
+def debruijn_graph(C: int, k: int) -> RegularDigraph:
     """De Bruijn graph on length-k words over {0,...,C-1}: each word shifts left
     and appends any symbol, giving degree C.
 
@@ -163,21 +163,20 @@ def debruijn_graph(C: int, k: int, cap: int = DEBRUIJN_VERTEX_CAP) -> RegularDig
     if C < 2 or k < 1:
         raise ValueError("need C >= 2 and k >= 1")
     n = C**k
-    if n > cap:
-        raise ValueError(f"de Bruijn graph too large: {C}**{k} = {n} exceeds cap {cap}")
+    if n > DEBRUIJN_VERTEX_CAP:
+        raise ValueError(f"de Bruijn graph too large: {C}**{k} = {n} exceeds cap "
+                         f"{DEBRUIJN_VERTEX_CAP}")
     return RegularDigraph((np.arange(n) % C ** (k - 1) * C)[:, None] + np.arange(C))
 
 
-def ultimate_iterate_coloring(
-    C: int, k: int, targets: Iterable[int], cap: int = DEBRUIJN_VERTEX_CAP
-) -> np.ndarray:
+def ultimate_iterate_coloring(C: int, k: int, targets: Iterable[int]) -> np.ndarray:
     """Color red the words whose ultimate iterate lies in `targets`, enumerating
     all C**k words in the same vertex order as debruijn_graph."""
     if C < 2 or k < 1:
         raise ValueError("need C >= 2 and k >= 1")
     n = C**k
-    if n > cap:
-        raise ValueError(f"coloring too large: {C}**{k} = {n} exceeds cap {cap}")
+    if n > DEBRUIJN_VERTEX_CAP:
+        raise ValueError(f"coloring too large: {C}**{k} = {n} exceeds cap {DEBRUIJN_VERTEX_CAP}")
     return np.isin(batch_ultimate(enumerate_rows(C, k)), list(targets))
 
 

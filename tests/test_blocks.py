@@ -1,3 +1,5 @@
+import random
+import tracemalloc
 from itertools import product
 
 import numpy as np
@@ -166,14 +168,12 @@ def _maximal_multiple_runs(row, d):
 
 
 def test_event_cascade_all_zero_row():
-    rows = triangle_rows([0] * 10)
-    reports = detect_event_cascade(rows, C=3, R=5)
+    reports = detect_event_cascade([0] * 10, C=3, R=5)
     assert reports[0].status == "fired"  # j=1 at iteration 0
 
 
 def test_event_cascade_prime_row():
-    rows = triangle_rows([2, 3, 5, 7, 11, 13, 17])
-    reports = detect_event_cascade(rows, C=5, R=2)
+    reports = detect_event_cascade([2, 3, 5, 7, 11, 13, 17], C=5, R=2)
     by_j = {r.j: r for r in reports}
     assert by_j[1].status == "absent"  # no {0,4}-block of length 2 in row 0
     assert by_j[3].status == "insufficient_history"  # needs iteration 8, depth is 6
@@ -186,6 +186,22 @@ def test_event_cascade_bound_check():
     fired = 0
     for _ in range(trials):
         row = rng.integers(0, 3, size=M).tolist()
-        if detect_event_cascade([row], C=3, R=R)[0].status == "fired":
+        if detect_event_cascade(row, C=3, R=R)[0].status == "fired":
             fired += 1
     assert fired / trials <= M * (2 / 3) ** R
+
+
+def test_event_cascade_holds_one_row_at_a_time():
+    # C = 7, R = 8 reads rows 0, 16, 128 and 1024; the triangle down to row
+    # 1024 of a 4,000-entry row would take tens of MiB.
+    rng = random.Random(1)
+    row = [rng.randrange(6) for _ in range(4000)]
+    tracemalloc.start()
+    try:
+        reports = detect_event_cascade(row, C=7, R=8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [e.iteration for e in reports] == [0, 16, 128, 1024, 8192]
+    assert reports[-1].status == "insufficient_history"
+    assert peak < 2**20

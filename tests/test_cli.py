@@ -7,8 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from gilbreath import cli, experiments, triangle
-from gilbreath.blocks import detect_event_cascade
+from gilbreath import blocks, cli, experiments, triangle
 from gilbreath.cli import Finding, _run_id, main
 
 PRIME_TRIANGLE = """\
@@ -102,19 +101,33 @@ def test_blocks_events(capsys):
 @pytest.mark.parametrize("events, deepest", [("3,2", 0), ("4,2", 4), ("5,2", 8), ("6,3", 54)])
 def test_blocks_events_builds_only_the_rows_it_reads(capsys, monkeypatch, events, deepest):
     row = [(7 * k * k + 3 * k) % 4 for k in range(40)]
-    built = []
+    steps = []
 
-    def spy(rows, C, R):
-        built.append(len(rows))
-        return detect_event_cascade(rows, C, R)
+    def spy(cur, stop, max_iters):
+        res = triangle.iterate_until(cur, stop, max_iters)
+        steps.append(res.iterations)
+        return res
 
-    monkeypatch.setattr(cli, "detect_event_cascade", spy)
+    monkeypatch.setattr(blocks, "iterate_until", spy)
     code, out, _ = run(capsys, "blocks", "--values", ",".join(map(str, row)), "--events", events)
     assert code == 0
-    # Rows 0 through the deepest iteration read, capped at the last row.
-    assert built == [min(deepest, len(row) - 1) + 1]
-    full = detect_event_cascade(triangle.triangle_rows(row), *map(int, events.split(",")))
-    assert [line.rsplit(": ", 1)[1] for line in out.splitlines()] == [e.status for e in full]
+    # Reference: event j reads row 2*R**(j-1) (row 0 for j = 1) of the whole triangle.
+    C, R = map(int, events.split(","))
+    rows = triangle.triangle_rows(row)
+    schedule = [0] + [2 * R ** (j - 1) for j in range(2, C - 1)]
+    assert schedule[-1] == deepest
+
+    def status(j, i):
+        if i >= len(rows):
+            return "insufficient_history"
+        block = blocks.longest_block(rows[i], blocks.BlockSpec(frozenset({0, C - j})))
+        return "fired" if block.max_length >= R**j else "absent"
+
+    expect = [status(j, i) for j, i in enumerate(schedule, 1)]
+    assert [line.rsplit(": ", 1)[1] for line in out.splitlines()] == expect
+    assert ("insufficient_history" in expect) == (deepest >= len(row))
+    # Differenced down to the deepest row read, and no further.
+    assert sum(steps) == max(i for i in schedule if i < len(row))
 
 
 def test_bootstrap_cycle(capsys):

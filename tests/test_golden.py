@@ -41,6 +41,11 @@ GOLDEN = [
      "307124ceb2ecb66ccca96a16803f3922d7e7c73ee1a19c7276573373f262ab0b"),
     (("blocks", "--values", "3,0,3,0,3,0,3,1,2,2,0", "--events", "4,2"),
      "7be5ddee48cc176fde34962ab9afe249b72a6ecc47f8ac8b7cbf9839b519c786"),
+    # The block report and the max-destruction verdict, one record kind each.
+    (("blocks", "--values", "3,0,3,0,3,0,3,1,2,2,0", "--allowed", "0,3", "--witness", "3"),
+     "271a00325b7fdc89242159ac21621c684d92b1e040bc3a79885eb052652bbbb9"),
+    (("blocks", "--values", "1,0,2,2,2", "--destruction"),
+     "de821e45dbdbad4960dfe2296ab0d79b578f5f3d8bae3c3c9f9b95d4825748be"),
     (("bootstrap", "--debruijn", "3,4", "--targets", "0,2", "--length", "12"),
      "69d4bf47ca8ca73b1b4ee58b8821aa81d9170eb23befa9e557be8764d81f39e3"),
     # Every other generated graph source: the cycle remark and seeded random graphs.
@@ -53,11 +58,13 @@ GOLDEN = [
 ]
 
 
-# The first two arguments, then the (first) value of --format, --stop, --red-fraction or
-# --weights if given.
+# The first two arguments, then the (first) value of --format, --stop, --red-fraction,
+# --weights or --allowed if given, and the flag --destruction if given.
 IDS = [" ".join(a[:2]) + "".join(f" {a[a.index(opt) + 1]}"
-                                 for opt in ("--format", "--stop", "--red-fraction", "--weights")
-                                 if opt in a) for a, _ in GOLDEN]
+                                 for opt in ("--format", "--stop", "--red-fraction", "--weights",
+                                             "--allowed")
+                                 if opt in a) + " --destruction" * ("--destruction" in a)
+       for a, _ in GOLDEN]
 
 
 @pytest.mark.parametrize("argv, digest", GOLDEN, ids=IDS)

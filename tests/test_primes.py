@@ -31,7 +31,7 @@ def full_row_verdict(N: int, D: int) -> Verdict:
     row, r = gaps, 1
     while True:
         if row[0] != 1:
-            return Verdict("violated", r - 1, None, r - 1, violation_row=r)
+            return Verdict("violated", r - 1, None, r - 1)
         if stabilization_predicate(row):
             return Verdict("verified", gaps.size, r, r - 1)
         if r > D:
@@ -224,7 +224,7 @@ def test_violation_matches_first_column(monkeypatch, D):
     v = verify_gilbreath(1000, max_full_rows=D)
     assert v == full_row_verdict(1000, D)
     if D + 1 >= first_bad:
-        assert (v.status, v.violation_row, v.rows_iterated) == ("violated", 22, 21)
+        assert (v.status, v.verified_rows + 1, v.rows_iterated) == ("violated", 22, 21)
     else:
         assert v.status == "inconclusive"
 

@@ -82,6 +82,10 @@ def test_iterate_until_budget():
 def test_iterate_until_exhausted():
     res = iterate_until([5, 0], all_le_one, 10)
     assert (res.row, res.reason) == ([5], "exhausted")
+    # With max_iters omitted the budget is the whole triangle, never a "budget" stop.
+    for row in ([3, 0, 3, 0, 3], np.array([3, 0, 3, 0, 3], dtype=np.uint16)):
+        res = iterate_until(row, never)
+        assert (res.iterations, res.reason) == (4, "exhausted")
 
 
 @pytest.mark.parametrize("dtype, high", [

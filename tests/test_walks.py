@@ -220,7 +220,7 @@ def test_debruijn_edges_shift_words():
 
 def test_debruijn_cap():
     with pytest.raises(ValueError, match="cap"):
-        debruijn_graph(2, 3, cap=4)
+        debruijn_graph(2, 21)
 
 
 def test_ultimate_coloring_examples():
