@@ -117,26 +117,37 @@ def _require(condition: bool, message: str) -> None:
 # A handler's output: (record kind, record params, result dicts).
 Group = tuple[str, dict, Iterable[dict]]
 
+# One encoder for every record: json.dumps with keyword arguments builds a new one per call.
+_ENC = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
-def _stamp(command: str, seed: int, groups: list[Group]) -> Iterator[dict]:
-    """The records of a handler's groups; a group's records share one run_id."""
+# A record on its way to the writer: (encoded head, encoded tail, result dict).
+Record = tuple[str, str, dict]
+
+
+def _stamp(command: str, seed: int, groups: list[Group]) -> Iterator[Record]:
+    """The records of a handler's groups; a group's records share one run_id.
+
+    A record's keys sort as kind < params < result < run_id < seed, so each
+    group's head and tail are encoded once and every result is spliced in
+    between them (see `_write_jsonl`).
+    """
     for kind, params, results in groups:
-        head = {"run_id": _run_id(command, params, seed), "kind": kind, "seed": seed,
-                "params": params}
+        head = _ENC.encode({"kind": kind, "params": params})[:-1]
+        tail = _ENC.encode({"run_id": _run_id(command, params, seed), "seed": seed})[1:]
         for result in results:
-            yield dict(head, result=result)
+            yield head, tail, result
 
 
-def _write_jsonl(records: Iterable[dict], fh) -> set[str]:
+def _write_jsonl(records: Iterable[Record], fh) -> set[str]:
     """Write one JSON line per record; return the union of the result keys."""
     keys: set[str] = set()
-    for r in records:
-        keys.update(r["result"])
-        fh.write(json.dumps(r, sort_keys=True, separators=(",", ":")) + "\n")
+    for head, tail, result in records:
+        keys.update(result)
+        fh.write(head + ',"result":' + _ENC.encode(result) + "," + tail + "\n")
     return keys
 
 
-def _write_csv(records: Iterable[dict], fh) -> None:
+def _write_csv(records: Iterable[Record], fh) -> None:
     # Fixed leading columns, then the union of result keys in sorted order;
     # nested values are JSON-encoded.  The header needs every key, so the
     # records are spooled as JSONL to an anonymous file, not held in memory.
@@ -153,7 +164,7 @@ def _write_csv(records: Iterable[dict], fh) -> None:
             writer.writerow(row)
 
 
-def _write_records(records: Iterable[dict], fmt: str, out: str | None) -> None:
+def _write_records(records: Iterable[Record], fmt: str, out: str | None) -> None:
     """Drain the records into `out`, if given.  A regular file appears only once
     every record is written, by a rename from a temporary file beside it; an
     existing non-regular file, such as /dev/null, is written directly."""
