@@ -370,8 +370,11 @@ def _cmd_experiment(args) -> list[Group]:
         for result in experiments.run_experiment(cfg):
             yield result
         # The last result is the aggregate; main has drained the stream.
+        seconds = time.perf_counter() - start
         print(f"aggregate: {json.dumps(result, sort_keys=True)}")
-        print(f"wall time: {time.perf_counter() - start:.3f}s", file=sys.stderr)
+        stats = {"trials": cfg.trials, "streams": len(cfg.streams), "seconds": seconds,
+                 "trials_per_s": cfg.trials / seconds}
+        print(f"stats: {json.dumps(stats, sort_keys=True)}", file=sys.stderr)
 
     return [(kind, cfg.params(), results())]
 

@@ -1,10 +1,13 @@
 """Seeded Monte Carlo harness for collapse, leading-term, and ultimate-zero runs.
 
-Each trial draws from its own RNG stream derived from (master_seed,
-trial_index), so results are bit-identical under any trial scheduling; the
-serialized records carry no non-deterministic fields.  `_trials` is the one
-place a trial's stream, its `derived_seed` fingerprint and its row are made.
-Aggregates use Wilson 95% intervals, which stay sane at proportions near 0 and 1.
+Trials come in fixed blocks of `per = max(1, STREAM_CELLS // M)`: block b holds
+the trials with index // per == b, and draws all its rows, a (per, M) array, in
+one sampler call on the stream SeedSequence((master_seed, b)).  A block is always
+drawn whole, so trial i's row is row i % per of that draw whatever the offset
+and trial count of the run, and the serialized records carry no
+non-deterministic fields.  `_blocks` is the one place streams are built and rows
+drawn.  Aggregates use Wilson 95% intervals, which stay sane at proportions near
+0 and 1.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import groupby, islice
+from itertools import groupby
 from typing import Iterator
 
 import numpy as np
@@ -33,9 +36,9 @@ KINDS = ("uniform_collapse", "gap_leading_term", "increasing_alphabet", "ultimat
 
 EXHAUSTIVE_CAP = 3**12
 
-# Cells of the trials x depth array that an ultimate-zero run fills and
-# reduces at a time; bounds its memory whatever the trial count.
-BLOCK_CELLS = 2**20
+# Cells of one stream block's (trials, M) draw; bounds a run's memory whatever
+# its trial count.  At M >= STREAM_CELLS every trial has a stream of its own.
+STREAM_CELLS = 2**16
 
 
 @dataclass(frozen=True)
@@ -128,8 +131,14 @@ class ExperimentConfig:
                 raise ValueError("weights must sum to 1")
 
     @property
-    def indices(self) -> range:
-        return range(self.trial_offset, self.trial_offset + self.trials)
+    def trials_per_stream(self) -> int:
+        return max(1, STREAM_CELLS // self.M)
+
+    @property
+    def streams(self) -> range:
+        """The stream blocks that the run's trials fall in."""
+        per = self.trials_per_stream
+        return range(self.trial_offset // per, (self.trial_offset + self.trials - 1) // per + 1)
 
     @property
     def budget(self) -> int:
@@ -146,19 +155,24 @@ class ExperimentConfig:
             "T": self.budget,
             "weights": list(self.weights) if self.weights else None,
             "trial_offset": self.trial_offset,
+            "trials_per_stream": self.trials_per_stream,
         }
 
 
-def derive_trial_stream(master_seed: int, trial_index: int) -> np.random.Generator:
-    """Reproducible, statistically independent stream for one trial."""
-    if master_seed < 0 or trial_index < 0:
-        raise ValueError("seed and trial index must be non-negative")
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence((master_seed, trial_index))))
+def derive_trial_stream(master_seed: int, block: int) -> np.random.Generator:
+    """Reproducible, statistically independent stream of one block of trials,
+    SeedSequence((master_seed, block)); at trials_per_stream = 1 the block is the
+    trial index.  The name predates blocks; `benchmarks/micro.py` imports it."""
+    if master_seed < 0 or block < 0:
+        raise ValueError("seed and block must be non-negative")
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence((master_seed, block))))
 
 
-def derived_seed(master_seed: int, trial_index: int) -> int:
-    """64-bit fingerprint of the trial's stream, recorded alongside each trial."""
-    ss = np.random.SeedSequence((master_seed, trial_index))
+def derived_seed(master_seed: int, block: int) -> int:
+    """64-bit fingerprint of a block's stream.  No record carries it (the trial
+    index and trials_per_stream name the stream); it is kept because
+    `benchmarks/micro.py` times it."""
+    ss = np.random.SeedSequence((master_seed, block))
     return int(ss.generate_state(1, np.uint64)[0])
 
 
@@ -178,53 +192,68 @@ def wilson_interval(successes: int, n: int) -> tuple[float, float]:
     return low, high
 
 
-def sample_uniform(M: int, C: int, stream: np.random.Generator) -> np.ndarray:
-    """M i.i.d. uniform draws from {0,...,C-1}."""
+def sample_uniform(n: int, M: int, C: int, stream: np.random.Generator) -> np.ndarray:
+    """n rows of M i.i.d. uniform draws from {0,...,C-1}, an (n, M) array."""
     if C < 2:
         raise ValueError("alphabet size must be >= 2")
     if M < 1:
         raise ValueError("M must be >= 1")
-    return stream.integers(0, C, size=M, dtype=np.int64)
+    return stream.integers(0, C, size=(n, M), dtype=np.int64)
 
 
-def sample_schedule(M: int, schedule: Schedule, stream: np.random.Generator) -> np.ndarray:
-    """b_m ~ uniform on {0,...,f(m)-1} for m = 1..M, with f the schedule."""
+def sample_schedule(n: int, M: int, schedule: Schedule, stream: np.random.Generator) -> np.ndarray:
+    """n rows of b_m ~ uniform on {0,...,f(m)-1} for m = 1..M, with f the schedule."""
     highs = schedule.values(np.arange(1, M + 1))
-    return stream.integers(0, highs, dtype=np.int64)
+    return stream.integers(0, highs, size=(n, M), dtype=np.int64)
 
 
-def sample_gap_sequence(M: int, schedule: Schedule, stream: np.random.Generator) -> np.ndarray:
-    """(a_1,...,a_{M+1}) with a_1 = 2, a_2 = 3, a_{n+1} = a_n + 2*u_n and
-    u_n uniform on {0,...,f(n)-1} for n = 2..M."""
+def sample_gap_sequence(n: int, M: int, schedule: Schedule,
+                        stream: np.random.Generator) -> np.ndarray:
+    """n rows (a_1,...,a_{M+1}) with a_1 = 2, a_2 = 3, a_{k+1} = a_k + 2*u_k and
+    u_k uniform on {0,...,f(k)-1} for k = 2..M, an (n, M + 1) array."""
     if M < 1:
         raise ValueError("M must be >= 1")
-    out = np.empty(M + 1, dtype=np.int64)
-    out[0] = 2
-    out[1] = 3
+    out = np.empty((n, M + 1), dtype=np.int64)
+    out[:, 0] = 2
+    out[:, 1] = 3
     if M > 1:
+        # u dies when this returns, before the caller draws its next block.
         highs = schedule.values(np.arange(2, M + 1))
-        u = stream.integers(0, highs, dtype=np.int64)
-        out[2:] = 3 + 2 * np.cumsum(u)
+        u = stream.integers(0, highs, size=(n, M - 1), dtype=np.int64)
+        np.cumsum(u, axis=1, out=out[:, 2:])
+        out[:, 2:] *= 2
+        out[:, 2:] += 3
     return out
 
 
-def _trials(cfg: ExperimentConfig) -> Iterator[tuple[int, int, np.ndarray]]:
-    """Yield (index, fingerprint, row) per trial of `cfg`, in index order: the one place a
-    trial's stream is built, its `derived_seed` read off that stream's seed sequence, and
-    its row drawn with the kind's sampler (M entries, the depth for ultimate-zero)."""
-    for index in cfg.indices:
-        rng = derive_trial_stream(cfg.seed, index)
-        fingerprint = int(rng.bit_generator.seed_seq.generate_state(1, np.uint64)[0])
+def _blocks(cfg: ExperimentConfig) -> Iterator[tuple[range, np.ndarray]]:
+    """Yield (indices, rows) per stream block of `cfg`, in index order: the one place a
+    block's stream is built and its rows drawn, whole, in one call of the kind's sampler
+    (M entries a row, the depth for ultimate-zero).  `rows` holds only the trials the run
+    asks for; the rest of the block is dropped."""
+    per = cfg.trials_per_stream
+    for block in cfg.streams:
+        rng = derive_trial_stream(cfg.seed, block)
         if cfg.kind == "gap_leading_term":
-            row = sample_gap_sequence(cfg.M, cfg.schedule, rng)
+            rows = sample_gap_sequence(per, cfg.M, cfg.schedule, rng)
         elif cfg.kind == "increasing_alphabet":
-            row = sample_schedule(cfg.M, cfg.schedule, rng)
-        elif cfg.kind == "uniform_collapse" and cfg.weights:
-            row = rng.choice(cfg.C, size=cfg.M, p=cfg.weights)
+            rows = sample_schedule(per, cfg.M, cfg.schedule, rng)
+        elif cfg.weights:
+            rows = rng.choice(cfg.C, size=(per, cfg.M), p=cfg.weights)
         else:
-            row = sample_uniform(cfg.M, cfg.C, rng)
-        yield index, fingerprint, row
-        del row  # before the next trial samples, as in `_collapse_results`
+            rows = sample_uniform(per, cfg.M, cfg.C, rng)
+        used = range(max(block * per, cfg.trial_offset),
+                     min((block + 1) * per, cfg.trial_offset + cfg.trials))
+        yield used, rows[used.start - block * per:used.stop - block * per]
+        del rows  # before the next block is drawn
+
+
+def _trials(cfg: ExperimentConfig) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield (index, row) per trial of `cfg`, in index order, from `_blocks`."""
+    for indices, rows in _blocks(cfg):
+        for index, row in zip(indices, rows):
+            yield index, row
+        del row, rows  # both hold the block; free it before the next one is drawn
 
 
 def _proportion(successes: int, n: int, prefix: str = "", estimate: str = "estimate") -> dict:
@@ -248,9 +277,9 @@ def _collapse_results(cfg: ExperimentConfig) -> Iterator[dict]:
     """Per trial: sample a row, difference until everything is 0 or 1 or the
     budget runs out; aggregate the collapsed fraction and median collapse time."""
     collapsed: list[int] = []
-    for index, fingerprint, row in _trials(cfg):
+    for index, row in _trials(cfg):
         res = iterate_until(row, all_le_one, cfg.budget)
-        result = {"record": "trial", "trial_index": index, "derived_seed": fingerprint}
+        result = {"record": "trial", "trial_index": index}
         if res.reason == "stop":
             result["collapse_iteration"] = res.iterations
             collapsed.append(res.iterations)
@@ -272,7 +301,7 @@ def _leading_term_results(cfg: ExperimentConfig) -> Iterator[dict]:
     """Per trial: stream the triangle of a random gap sequence, tracking the
     first entry of every row, and report the least M_0 from which it is all 1s."""
     finite: list[int] = []
-    for index, fingerprint, row in _trials(cfg):
+    for index, row in _trials(cfg):
         # Rows 1..M of the triangle; a length-1 row is stable iff it is [1].  The
         # stop rule is looked up in `triangle` and the closure check below in this
         # module, so that either can be replaced alone.
@@ -287,7 +316,7 @@ def _leading_term_results(cfg: ExperimentConfig) -> Iterator[dict]:
             finite.append(m0)
         # Every row past the stable one starts with 1; the trace is run-length encoded.
         leading = res.firsts + [1] * (cfg.M - len(res.firsts))
-        result = {"record": "trial", "trial_index": index, "derived_seed": fingerprint, "m0": m0,
+        result = {"record": "trial", "trial_index": index, "m0": m0,
                   "leading_term_trace": [[v, len(list(run))] for v, run in groupby(leading)]}
         del res, row, leading  # before the next trial samples, as in `_collapse_results`
         yield result
@@ -318,22 +347,15 @@ def exhaustive_ultimate_zero(C: int, depth: int) -> Fraction:
 def _ultimate_zero_results(cfg: ExperimentConfig) -> Iterator[dict]:
     """Monte Carlo Pr(ultimate iterate = 0) for uniform rows of length M, with the
     uniform-bound reference 1/(200*C**2); the exhaustive value is attached
-    whenever C**M is small.  Trials run in blocks of `BLOCK_CELLS` cells, one
-    `batch_ultimate` call per block."""
+    whenever C**M is small.  One `batch_ultimate` call per stream block."""
     C, depth = cfg.C, cfg.M
-    per_block = max(1, BLOCK_CELLS // depth)
     zeros = 0
-    trials = _trials(cfg)
-    for lo in range(0, cfg.trials, per_block):
-        block = cfg.indices[lo:lo + per_block]
-        rows = np.empty((len(block), depth), dtype=np.int64)
-        fingerprints = np.empty(len(block), dtype=np.uint64)
-        for k, trial in enumerate(islice(trials, len(block))):
-            _, fingerprints[k], rows[k] = trial
-        for index, fingerprint, value in zip(block, fingerprints, batch_ultimate(rows).tolist()):
+    for indices, rows in _blocks(cfg):
+        values = batch_ultimate(rows).tolist()
+        del rows  # before the next block is drawn
+        for index, value in zip(indices, values):
             zeros += value == 0
-            yield {"record": "trial", "trial_index": index, "derived_seed": int(fingerprint),
-                   "ultimate_value": value}
+            yield {"record": "trial", "trial_index": index, "ultimate_value": value}
     reference = Fraction(1, 200 * C * C)
     # The bound's own scale i >= (200*C**2)**(2*C) is far beyond desk reach; the floor
     # (1/C)**(200*C**2)**(2*C) fits only as a log10, and from C = 30 on not even so (null).

@@ -287,6 +287,20 @@ def test_experiment_jsonl_shape(capsys, tmp_path):
     assert {o["run_id"] for o in objs} == {_run_id("experiment", objs[0]["params"], 0)}
 
 
+def test_experiment_stats_on_stderr_only(capsys, tmp_path):
+    out_file = tmp_path / "uz.jsonl"
+    code, _, err = run(capsys, "experiment", "ultimate-zero", "--C", "3", "--depth", "10",
+                       "--trials", "7000", "--trial-offset", "6500", "--out", str(out_file))
+    assert code == 0
+    (line,) = [ln for ln in err.splitlines() if ln.startswith("stats: ")]
+    stats = json.loads(line[len("stats: "):])
+    assert set(stats) == {"trials", "streams", "seconds", "trials_per_s"}
+    # 6,553 trials a stream: trials 6500..13499 fall in streams 0, 1 and 2.
+    assert stats["trials"] == 7000 and stats["streams"] == 3
+    assert stats["seconds"] > 0 and stats["trials_per_s"] == 7000 / stats["seconds"]
+    assert "stats" not in out_file.read_text() and "seconds" not in out_file.read_text()
+
+
 def _csv_cell(value):
     if isinstance(value, (dict, list)):
         return json.dumps(value, sort_keys=True)

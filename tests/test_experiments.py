@@ -19,7 +19,7 @@ from gilbreath.experiments import (
     wilson_interval,
 )
 from gilbreath.triangle import batch_ultimate, enumerate_rows, step_array
-from oracles import exact_m0_distribution
+from oracles import exact_m0_distribution, ultimate_iterate
 
 
 def run(cfg):
@@ -62,35 +62,38 @@ def test_config_validation():
 
 
 def test_sample_uniform_deterministic():
-    a = sample_uniform(5, 2, derive_trial_stream(42, 0))
-    b = sample_uniform(5, 2, derive_trial_stream(42, 0))
+    a = sample_uniform(3, 5, 2, derive_trial_stream(42, 0))
+    b = sample_uniform(3, 5, 2, derive_trial_stream(42, 0))
+    assert a.shape == (3, 5)
     assert a.tolist() == b.tolist()
     with pytest.raises(ValueError):
-        sample_uniform(5, 1, derive_trial_stream(42, 0))
+        sample_uniform(3, 5, 1, derive_trial_stream(42, 0))
 
 
 def test_sample_uniform_frequencies():
-    draws = sample_uniform(10**4, 3, derive_trial_stream(1, 0))
+    draws = sample_uniform(10, 10**3, 3, derive_trial_stream(1, 0))
     for symbol in range(3):
         freq = float((draws == symbol).mean())
         assert abs(freq - 1 / 3) < 0.02
 
 
 def test_gap_sequence_construction():
-    seq = sample_gap_sequence(50, Schedule.constant(2), derive_trial_stream(0, 0))
-    assert seq[0] == 2 and seq[1] == 3
-    steps = np.diff(seq[1:])
-    assert set(steps.tolist()) <= {0, 2}
-    first_diff = np.abs(np.diff(seq))
-    assert first_diff[0] == 1
-    assert set(first_diff[1:].tolist()) <= {0, 2}
-    again = sample_gap_sequence(50, Schedule.constant(2), derive_trial_stream(0, 0))
-    assert seq.tolist() == again.tolist()
+    seqs = sample_gap_sequence(4, 50, Schedule.constant(2), derive_trial_stream(0, 0))
+    assert seqs.shape == (4, 51)
+    for seq in seqs:
+        assert seq[0] == 2 and seq[1] == 3
+        steps = np.diff(seq[1:])
+        assert set(steps.tolist()) <= {0, 2}
+        first_diff = np.abs(np.diff(seq))
+        assert first_diff[0] == 1
+        assert set(first_diff[1:].tolist()) <= {0, 2}
+    again = sample_gap_sequence(4, 50, Schedule.constant(2), derive_trial_stream(0, 0))
+    assert seqs.tolist() == again.tolist()
 
 
 def test_gap_sequence_degenerate():
-    seq = sample_gap_sequence(1, Schedule.constant(2), derive_trial_stream(0, 0))
-    assert seq.tolist() == [2, 3]
+    seqs = sample_gap_sequence(2, 1, Schedule.constant(2), derive_trial_stream(0, 0))
+    assert seqs.tolist() == [[2, 3], [2, 3]]
 
 
 def test_derived_streams_differ():
@@ -204,8 +207,10 @@ def test_exact_m0_distribution_matches_the_experiment(monkeypatch):
     f, M = 3, 7
     u = enumerate_rows(f, M - 1)
     first_two = np.tile([2, 3], (len(u), 1))
-    seqs = iter(np.hstack([first_two, 3 + 2 * np.cumsum(u, axis=1)]))
-    monkeypatch.setattr(experiments, "sample_gap_sequence", lambda M, schedule, rng: next(seqs))
+    seqs = np.hstack([first_two, 3 + 2 * np.cumsum(u, axis=1)])
+    # One stream block covers every trial; the block's rows past them are dropped.
+    monkeypatch.setattr(experiments, "sample_gap_sequence",
+                        lambda n, M, schedule, rng: np.resize(seqs, (n, M + 1)))
     results, _ = run(ExperimentConfig(kind="gap_leading_term", M=M, trials=len(u), seed=0,
                                       schedule=Schedule.constant(f)))
     counts, null = exact_m0_distribution(f, M)
@@ -237,19 +242,23 @@ def test_records_are_schedule_independent():
 
 
 def test_ultimate_zero_blocks_match_one_block(monkeypatch):
-    one_block = list(run_experiment(ultimate_zero(3, 10, trials=50, seed=5, trial_offset=7)))
+    # One batch_ultimate call per stream block; each block's values match a per-row oracle.
     batches = []
 
     def spy(rows):
-        batches.append(len(rows))
+        batches.append(np.array(rows))
         return batch_ultimate(rows)
 
-    monkeypatch.setattr(experiments, "BLOCK_CELLS", 64)  # 6 rows of depth 10
+    monkeypatch.setattr(experiments, "STREAM_CELLS", 64)  # 6 rows of depth 10
     monkeypatch.setattr(experiments, "batch_ultimate", spy)
-    blocked = list(run_experiment(ultimate_zero(3, 10, trials=50, seed=5, trial_offset=7)))
-    # Nine trial blocks, then the exhaustive 3**10 enumeration.
-    assert batches[:-1] == [6] * 8 + [2]
-    assert blocked == one_block
+    cfg = ultimate_zero(3, 10, trials=50, seed=5, trial_offset=7)
+    trials, _ = run(cfg)
+    # Trials 7..56 fall in blocks 1..9; then the exhaustive 3**10 enumeration.
+    assert cfg.streams == range(1, 10)
+    assert [len(b) for b in batches[:-1]] == [5] + [6] * 7 + [3]
+    rows = np.concatenate(batches[:-1])
+    assert [t["trial_index"] for t in trials] == list(range(7, 57))
+    assert [t["ultimate_value"] for t in trials] == [ultimate_iterate(r) for r in rows.tolist()]
 
 
 def test_trial_offset_gives_disjoint_batches():
@@ -259,73 +268,92 @@ def test_trial_offset_gives_disjoint_batches():
     a, _ = run(base)
     b, _ = run(shifted)
     assert {t["trial_index"] for t in a}.isdisjoint(t["trial_index"] for t in b)
-    assert {t["derived_seed"] for t in a}.isdisjoint(t["derived_seed"] for t in b)
-
-
-@pytest.mark.parametrize("cfg", [
-    ExperimentConfig(kind="uniform_collapse", M=50, trials=12, seed=4, C=3, trial_offset=7),
-    ExperimentConfig(kind="increasing_alphabet", M=50, trials=12, seed=4,
-                     schedule=Schedule.parse("1:2,20:3"), trial_offset=7),
-    ExperimentConfig(kind="gap_leading_term", M=50, trials=12, seed=4,
-                     schedule=Schedule.constant(3), trial_offset=7),
-    ultimate_zero(3, 6, trials=12, seed=4, trial_offset=7),
-], ids=lambda cfg: cfg.kind)
-def test_trial_records_carry_derived_seed(monkeypatch, cfg):
-    streams = []
-    derive = experiments.derive_trial_stream
-
-    def spy(seed, index):
-        streams.append(index)
-        return derive(seed, index)
-
-    monkeypatch.setattr(experiments, "derive_trial_stream", spy)
-    trials, _ = run(cfg)
-    assert streams == list(range(7, 19))  # one stream per trial, in index order
-    assert [t["trial_index"] for t in trials] == list(range(7, 19))
-    for t in trials:
-        assert t["derived_seed"] == derived_seed(4, t["trial_index"])
 
 
 WEIGHTS = (0.6, 0.3, 0.1)
+SCHEDULE = Schedule.parse("1:2,20:3")
+
+# (config builder for M, offset and trial count; the kind's whole-block draw of n rows).
+SAMPLERS = {
+    "uniform_collapse": (
+        lambda M, offset, trials: ExperimentConfig(kind="uniform_collapse", M=M, trials=trials,
+                                                   seed=4, C=3, trial_offset=offset),
+        lambda n, M, rng: sample_uniform(n, M, 3, rng)),
+    "weighted_collapse": (
+        lambda M, offset, trials: ExperimentConfig(kind="uniform_collapse", M=M, trials=trials,
+                                                   seed=4, C=3, weights=WEIGHTS,
+                                                   trial_offset=offset),
+        lambda n, M, rng: rng.choice(3, size=(n, M), p=WEIGHTS)),
+    "increasing_alphabet": (
+        lambda M, offset, trials: ExperimentConfig(kind="increasing_alphabet", M=M,
+                                                   trials=trials, seed=4, schedule=SCHEDULE,
+                                                   trial_offset=offset),
+        lambda n, M, rng: sample_schedule(n, M, SCHEDULE, rng)),
+    "gap_leading_term": (
+        lambda M, offset, trials: ExperimentConfig(kind="gap_leading_term", M=M, trials=trials,
+                                                   seed=4, schedule=Schedule.constant(3),
+                                                   trial_offset=offset),
+        lambda n, M, rng: step_array(sample_gap_sequence(n, M, Schedule.constant(3), rng))),
+    "ultimate_zero": (
+        lambda M, offset, trials: ultimate_zero(3, M, trials=trials, seed=4, trial_offset=offset),
+        lambda n, M, rng: sample_uniform(n, M, 3, rng)),
+}
 
 
-@pytest.mark.parametrize("cfg, draw", [
-    (ExperimentConfig(kind="uniform_collapse", M=50, trials=12, seed=4, C=3, trial_offset=7),
-     lambda rng: sample_uniform(50, 3, rng)),
-    (ExperimentConfig(kind="uniform_collapse", M=50, trials=12, seed=4, C=3, weights=WEIGHTS,
-                      trial_offset=7),
-     lambda rng: rng.choice(3, size=50, p=WEIGHTS)),
-    (ExperimentConfig(kind="increasing_alphabet", M=50, trials=12, seed=4,
-                      schedule=Schedule.parse("1:2,20:3"), trial_offset=7),
-     lambda rng: sample_schedule(50, Schedule.parse("1:2,20:3"), rng)),
-    (ExperimentConfig(kind="gap_leading_term", M=50, trials=12, seed=4,
-                      schedule=Schedule.constant(3), trial_offset=7),
-     lambda rng: step_array(sample_gap_sequence(50, Schedule.constant(3), rng))),
-    (ultimate_zero(3, 6, trials=12, seed=4, trial_offset=7),
-     lambda rng: sample_uniform(6, 3, rng)),
-], ids=["uniform_collapse", "weighted_collapse", "increasing_alphabet", "gap_leading_term",
-        "ultimate_zero"])
-def test_trials_difference_their_own_stream_rows(monkeypatch, cfg, draw):
-    seen = []
-    if cfg.kind == "ultimate_zero":
-        def spy(rows):
-            seen.extend(np.array(rows))
-            return batch_ultimate(rows)
+@pytest.mark.parametrize("name", list(SAMPLERS))
+def test_trials_difference_their_own_stream_rows(monkeypatch, name):
+    make, draw = SAMPLERS[name]
+    derive = experiments.derive_trial_stream
+    # 4 trials a block (trials 7..18 span blocks 1..4), then the default 1,310 (block 0).
+    for stream_cells in (200, 2**16):
+        monkeypatch.setattr(experiments, "STREAM_CELLS", stream_cells)
+        cfg = make(50, 7, 12)
+        per = cfg.trials_per_stream
+        assert per == stream_cells // 50 and cfg.params()["trials_per_stream"] == per
+        seen, streams = [], []
 
-        monkeypatch.setattr(experiments, "batch_ultimate", spy)
-    else:
-        iterate = experiments.iterate_until
+        def stream_spy(seed, block):
+            streams.append(block)
+            return derive(seed, block)
 
-        def spy(row, stop, max_iters):
-            seen.append(np.array(row))
-            return iterate(row, stop, max_iters)
+        monkeypatch.setattr(experiments, "derive_trial_stream", stream_spy)
+        if cfg.kind == "ultimate_zero":
+            def spy(rows):
+                seen.extend(np.array(rows))
+                return batch_ultimate(rows)
 
-        monkeypatch.setattr(experiments, "iterate_until", spy)
-    run(cfg)
-    # Ultimate-zero's exhaustive 3**6 enumeration follows the trial rows.
-    assert len(seen) == (12 + 3**6 if cfg.kind == "ultimate_zero" else 12)
-    for index, row in zip(range(7, 19), seen):
-        assert row.tolist() == draw(derive_trial_stream(4, index)).tolist()
+            monkeypatch.setattr(experiments, "batch_ultimate", spy)
+        else:
+            iterate = experiments.iterate_until
+
+            def spy(row, stop, max_iters):
+                seen.append(np.array(row))
+                return iterate(row, stop, max_iters)
+
+            monkeypatch.setattr(experiments, "iterate_until", spy)
+        trials, _ = run(cfg)
+        monkeypatch.undo()
+        assert [t["trial_index"] for t in trials] == list(range(7, 19))
+        assert all("derived_seed" not in t for t in trials)
+        assert streams == list(range(7 // per, 18 // per + 1))  # one stream per block
+        # Ultimate-zero's 3**50 rows are past the exhaustive cap: only trial rows are seen.
+        assert len(seen) == 12
+        for index, row in zip(range(7, 19), seen):
+            block = draw(per, 50, derive(4, index // per))
+            assert row.tolist() == block[index % per].tolist()
+
+
+@pytest.mark.parametrize("name", list(SAMPLERS))
+def test_disjoint_offset_runs_concatenate_to_the_full_run(monkeypatch, name):
+    monkeypatch.setattr(experiments, "STREAM_CELLS", 250)  # 5 trials a block at M = 50
+    make, _ = SAMPLERS[name]
+    per = make(50, 0, 1).trials_per_stream
+    assert per == 5
+    full, _ = run(make(50, 0, 4 * per + 2))  # ends mid-block
+    for split in (per - 1, per, per + 1):
+        head, _ = run(make(50, 0, split))
+        tail, _ = run(make(50, split, 4 * per + 2 - split))
+        assert head + tail == full, split
 
 
 def test_run_memory_does_not_grow_with_trials():

@@ -11,22 +11,22 @@ from gilbreath.cli import main
 
 GOLDEN = [
     (("experiment", "collapse", "--M", "2000", "--C", "3", "--trials", "50", "--seed", "3"),
-     "469dedc898ebab0bca3d62c7ab653e97b4c7e09fc03154d52257067f32e0bc2e"),
+     "7a107e260e6109f9542829d7d6f16722d4c9ad89f6b5969be51295265c01e33c"),
     (("experiment", "collapse", "--M", "2000", "--C", "3", "--trials", "50", "--seed", "3",
       "--weights", "0.6", "0.3", "0.1"),
-     "eb2a8163d766c6a91d7400e67462a4f7eede7582e74ea7275814609baf1a73cb"),
+     "9c2fa7c026f97b6ab66b902dd6569c474aa36d8ec536bc37c2abe8cd9aedfba4"),
     (("experiment", "ultimate-zero", "--C", "3", "--depth", "10", "--trials", "2000",
       "--seed", "3"),
-     "7aa0ee13c62ff447018bd2b37e60133e29cbb391f9b3170b2b1104317a7a1a45"),
+     "95803ef3bb23b76d80f6f1ba6cebd2abfcdc13651b11464e2da76419119ab52c"),
     (("experiment", "leading-term", "--M", "500", "--f", "2", "--trials", "20", "--seed", "3"),
-     "8c63aff2cb12f09a07d0105b90437c2e34ae056069d9be69e056639cf617dca7"),
+     "6fdd9300e01eb1455070e16cd8dc766ebd8632b5524e178423b2b747fb4cdd2c"),
     (("experiment", "increasing-alphabet", "--M", "1000", "--f", "1:2,500:3", "--trials", "20",
       "--seed", "3"),
-     "0fca8a383ecc40cbc8794de6f86825535d3a680faec2f451ab3b39fd714bea46"),
+     "180b44e1ed7d9afc9d875a93e7d08953caebdfe4652f7a7964a7a8bd31fb6b90"),
     # CSV: the trial and aggregate rows under the union of their result keys.
     (("experiment", "collapse", "--M", "2000", "--C", "3", "--trials", "50", "--seed", "3",
       "--format", "csv"),
-     "0e778bd1ef572fd9fbeee627022601bd2c47d8fd90b0ccfe623bf0c3f14f31e0"),
+     "fcd38c3d5d08bfaad7c77b847d4ba6aac16d16d586807c3a0778210ec61f8f95"),
     (("primes", "--limit", "100000"),
      "919dd6eacec0145622827cbe19acb59143247c2d4178045f44debfb443c39b14"),
     (("parity", "--depth", "100", "--prob-even", "2,6"),
