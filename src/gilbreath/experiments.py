@@ -242,9 +242,9 @@ def _blocks(cfg: ExperimentConfig) -> Iterator[tuple[range, np.ndarray]]:
             rows = rng.choice(cfg.C, size=(per, cfg.M), p=cfg.weights)
         else:
             rows = sample_uniform(per, cfg.M, cfg.C, rng)
-        used = range(max(block * per, cfg.trial_offset),
-                     min((block + 1) * per, cfg.trial_offset + cfg.trials))
-        yield used, rows[used.start - block * per:used.stop - block * per]
+        first = block * per
+        used = range(max(first, cfg.trial_offset), min(first + per, cfg.trial_offset + cfg.trials))
+        yield used, rows[used.start - first:used.stop - first]
         del rows  # before the next block is drawn
 
 

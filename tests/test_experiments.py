@@ -1,5 +1,6 @@
 import tracemalloc
 from collections import Counter, deque
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -273,41 +274,33 @@ def test_trial_offset_gives_disjoint_batches():
 WEIGHTS = (0.6, 0.3, 0.1)
 SCHEDULE = Schedule.parse("1:2,20:3")
 
-# (config builder for M, offset and trial count; the kind's whole-block draw of n rows).
+# A config of each kind at M = 50, and the kind's whole-block draw of n rows.
 SAMPLERS = {
-    "uniform_collapse": (
-        lambda M, offset, trials: ExperimentConfig(kind="uniform_collapse", M=M, trials=trials,
-                                                   seed=4, C=3, trial_offset=offset),
-        lambda n, M, rng: sample_uniform(n, M, 3, rng)),
-    "weighted_collapse": (
-        lambda M, offset, trials: ExperimentConfig(kind="uniform_collapse", M=M, trials=trials,
-                                                   seed=4, C=3, weights=WEIGHTS,
-                                                   trial_offset=offset),
-        lambda n, M, rng: rng.choice(3, size=(n, M), p=WEIGHTS)),
-    "increasing_alphabet": (
-        lambda M, offset, trials: ExperimentConfig(kind="increasing_alphabet", M=M,
-                                                   trials=trials, seed=4, schedule=SCHEDULE,
-                                                   trial_offset=offset),
-        lambda n, M, rng: sample_schedule(n, M, SCHEDULE, rng)),
-    "gap_leading_term": (
-        lambda M, offset, trials: ExperimentConfig(kind="gap_leading_term", M=M, trials=trials,
-                                                   seed=4, schedule=Schedule.constant(3),
-                                                   trial_offset=offset),
-        lambda n, M, rng: step_array(sample_gap_sequence(n, M, Schedule.constant(3), rng))),
-    "ultimate_zero": (
-        lambda M, offset, trials: ultimate_zero(3, M, trials=trials, seed=4, trial_offset=offset),
-        lambda n, M, rng: sample_uniform(n, M, 3, rng)),
+    "uniform_collapse": (ExperimentConfig(kind="uniform_collapse", M=50, trials=1, seed=4, C=3),
+                         lambda n, rng: sample_uniform(n, 50, 3, rng)),
+    "weighted_collapse": (ExperimentConfig(kind="uniform_collapse", M=50, trials=1, seed=4, C=3,
+                                           weights=WEIGHTS),
+                          lambda n, rng: rng.choice(3, size=(n, 50), p=WEIGHTS)),
+    "increasing_alphabet": (ExperimentConfig(kind="increasing_alphabet", M=50, trials=1, seed=4,
+                                             schedule=SCHEDULE),
+                            lambda n, rng: sample_schedule(n, 50, SCHEDULE, rng)),
+    "gap_leading_term": (ExperimentConfig(kind="gap_leading_term", M=50, trials=1, seed=4,
+                                          schedule=Schedule.constant(3)),
+                         lambda n, rng: step_array(
+                             sample_gap_sequence(n, 50, Schedule.constant(3), rng))),
+    "ultimate_zero": (ultimate_zero(3, 50, trials=1, seed=4),
+                      lambda n, rng: sample_uniform(n, 50, 3, rng)),
 }
 
 
 @pytest.mark.parametrize("name", list(SAMPLERS))
 def test_trials_difference_their_own_stream_rows(monkeypatch, name):
-    make, draw = SAMPLERS[name]
+    base, draw = SAMPLERS[name]
     derive = experiments.derive_trial_stream
     # 4 trials a block (trials 7..18 span blocks 1..4), then the default 1,310 (block 0).
     for stream_cells in (200, 2**16):
         monkeypatch.setattr(experiments, "STREAM_CELLS", stream_cells)
-        cfg = make(50, 7, 12)
+        cfg = replace(base, trial_offset=7, trials=12)
         per = cfg.trials_per_stream
         assert per == stream_cells // 50 and cfg.params()["trials_per_stream"] == per
         seen, streams = [], []
@@ -339,20 +332,20 @@ def test_trials_difference_their_own_stream_rows(monkeypatch, name):
         # Ultimate-zero's 3**50 rows are past the exhaustive cap: only trial rows are seen.
         assert len(seen) == 12
         for index, row in zip(range(7, 19), seen):
-            block = draw(per, 50, derive(4, index // per))
+            block = draw(per, derive(4, index // per))
             assert row.tolist() == block[index % per].tolist()
 
 
 @pytest.mark.parametrize("name", list(SAMPLERS))
 def test_disjoint_offset_runs_concatenate_to_the_full_run(monkeypatch, name):
     monkeypatch.setattr(experiments, "STREAM_CELLS", 250)  # 5 trials a block at M = 50
-    make, _ = SAMPLERS[name]
-    per = make(50, 0, 1).trials_per_stream
+    base, _ = SAMPLERS[name]
+    per = base.trials_per_stream
     assert per == 5
-    full, _ = run(make(50, 0, 4 * per + 2))  # ends mid-block
+    full, _ = run(replace(base, trials=4 * per + 2))  # ends mid-block
     for split in (per - 1, per, per + 1):
-        head, _ = run(make(50, 0, split))
-        tail, _ = run(make(50, split, 4 * per + 2 - split))
+        head, _ = run(replace(base, trials=split))
+        tail, _ = run(replace(base, trial_offset=split, trials=4 * per + 2 - split))
         assert head + tail == full, split
 
 
