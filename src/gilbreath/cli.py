@@ -302,7 +302,9 @@ def _build_graph(args, rng_seed: int) -> tuple[walks.RegularDigraph, np.ndarray,
         return g, red, {"cycle": n}
     if args.debruijn is not None:
         C, k = args.debruijn
-        targets = args.targets or [0]
+        targets = [0] if args.targets is None else args.targets
+        top = max(targets, default=0)
+        _require(top < C, f"--targets: {top} >= C = {C} is never an ultimate iterate")
         g = walks.debruijn_graph(C, k)
         red = walks.ultimate_iterate_coloring(C, k, targets)
         return g, red, {"debruijn": [C, k], "targets": targets}
@@ -323,7 +325,11 @@ def _exact_fractions(items: list[tuple[str, object]]) -> dict:
 def _cmd_bootstrap(args) -> list[Group]:
     g, red, source = _build_graph(args, args.seed)
     L = args.length
+    start = time.perf_counter()
     verdict = walks.check_bootstrap(g, red, L, args.c)
+    stats = {"dp_steps": max(L, verdict.long_length or L) - 1,
+             "seconds": time.perf_counter() - start}
+    print(f"stats: {json.dumps(stats, sort_keys=True)}", file=sys.stderr)
     c = args.c if args.c is not None else verdict.short_probability
     params = dict(source, n=g.n, d=g.d, length=L, c=str(c))
     result = asdict(verdict, dict_factory=_exact_fractions)
@@ -474,7 +480,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cycle", type=int, help="n-cycle with first n/10 vertices red")
     p.add_argument("--debruijn", type=int_pair,
                    help="'C,k' de Bruijn graph with ultimate-iterate coloring")
-    p.add_argument("--targets", type=int_set, help="red targets for --debruijn (default '0')")
+    p.add_argument("--targets", type=int_set,
+                   help="red targets for --debruijn (default '0'; '' colours none)")
     p.add_argument("--random", dest="random_graph", type=int_pair,
                    help="'n,d' seeded random regular digraph")
     p.add_argument("--red-fraction", type=float, default=0.5)

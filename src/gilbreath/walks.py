@@ -3,9 +3,10 @@
 A graph is one (n, d) array of successors and a coloring is a length-n bool
 array, True for red.  A simple random walk starts at a uniform vertex and
 follows out-edges chosen uniformly; a walk of length L visits L vertices.  All
-probabilities are exact Fractions (numerator = red-only path count, counted
-over Python ints; denominator = n * d**(L-1)), so thresholds as small as
-c**2/10 are compared without rounding.
+probabilities are exact Fractions (numerator = red-only path count, counted in
+int64 until a step could overflow, then in Python ints, so exact either way;
+denominator = n * d**(L-1)), so thresholds as small as c**2/10 are compared
+without rounding.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import numpy as np
 from .triangle import batch_ultimate, enumerate_rows
 
 DEBRUIJN_VERTEX_CAP = 1 << 20
+INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 @dataclass(frozen=True, eq=False)
@@ -81,17 +83,24 @@ class WalkProbability:
 def _red_walk_totals(g: RegularDigraph, red: np.ndarray) -> Iterator[int]:
     """Numbers of red-only walks of lengths 1, 2, ...
 
-    vec[v] counts the red-only walks of the current length that start at v, as
-    Python ints: a walk one vertex longer is a red v followed by such a walk
-    from one of v's successors.
+    vec[v] counts the red-only walks of the current length that start at v: a
+    walk one vertex longer is a red v followed by such a walk from one of v's
+    successors.  The counts start in int64 and widen to Python ints (object
+    dtype) for good once the next step's sum of d counts could overflow; the
+    total of the n counts is summed over Python ints once it could overflow.
     """
     red = np.asarray(red)
     if red.dtype != bool or red.shape != (g.n,):
         raise ValueError(f"coloring must be a bool array of length n = {g.n}")
-    red = vec = red.astype(np.int64).astype(object)  # 1 on red vertices, 0 on blue
+    succ_t = np.ascontiguousarray(g.succ.T)  # (d, n): gathers and sums row by row
+    sum_fits, step_fits = INT64_MAX // g.n, INT64_MAX // g.d
+    red = vec = red.astype(np.int64)  # 1 on red vertices, 0 on blue
     while True:
-        yield sum(vec.tolist())
-        vec = red * vec[g.succ].sum(axis=1)
+        top = vec.max()
+        yield int(vec.sum()) if top <= sum_fits else sum(vec.tolist())
+        if top > step_fits and vec.dtype != object:
+            red, vec = red.astype(object), vec.astype(object)
+        vec = red * vec[succ_t].sum(axis=0)
 
 
 def _probability(g: RegularDigraph, totals: list[int], L: int) -> WalkProbability:

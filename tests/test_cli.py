@@ -253,6 +253,40 @@ def test_bootstrap_debruijn(capsys):
     assert "all-red P(L=4)" in out
 
 
+def test_bootstrap_empty_targets_colours_no_vertex(capsys, tmp_path):
+    out_file = tmp_path / "b.jsonl"
+    code, out, err = run(capsys, "bootstrap", "--debruijn", "2,3", "--targets", "",
+                         "--length", "4", "--out", str(out_file))
+    assert code == 0
+    assert "all-red P(L=4) = 0 (0)" in out
+    record = json.loads(out_file.read_text())
+    assert record["params"]["targets"] == []
+    assert record["result"]["short_probability"] == "0"
+    manifest = json.loads(err.splitlines()[-1])
+    assert manifest["config"]["targets"] == []
+
+
+@pytest.mark.parametrize("targets", ["3", "0,5"])
+def test_bootstrap_target_outside_alphabet_exits_1(capsys, targets):
+    code, out, err = run(capsys, "bootstrap", "--debruijn", "3,2", "--targets", targets,
+                         "--length", "4")
+    assert code == 1 and not out
+    assert f"error: --targets: {targets[-1]} >= C = 3 is never an ultimate iterate" in err
+
+
+def test_bootstrap_stats_on_stderr_only(capsys, tmp_path):
+    out_file = tmp_path / "b.jsonl"
+    code, _, err = run(capsys, "bootstrap", "--debruijn", "3,2", "--targets", "0,2",
+                       "--length", "10", "--out", str(out_file))
+    assert code == 0
+    (line,) = [ln for ln in err.splitlines() if ln.startswith("stats: ")]
+    stats = json.loads(line[len("stats: "):])
+    assert set(stats) == {"dp_steps", "seconds"} and stats["seconds"] > 0
+    record = json.loads(out_file.read_text())
+    assert stats["dp_steps"] == max(10, record["result"]["long_length"] or 10) - 1
+    assert "stats" not in out_file.read_text() and "seconds" not in out_file.read_text()
+
+
 def test_bootstrap_graph_file(capsys, tmp_path):
     path = tmp_path / "g.txt"
     path.write_text("2 2\n0 1\n0 1\nrr\n")

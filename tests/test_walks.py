@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, islice, product
 
 import numpy as np
 import pytest
@@ -187,15 +187,32 @@ def test_dp_matches_path_enumeration_hypothesis(data):
 
 @pytest.mark.parametrize("C, k", [(3, 4), (2, 6), (4, 4)])
 def test_dp_totals_match_list_dp(C, k):
+    # At L = 40 de Bruijn(4,4) leaves int64 on {0,1}, {0,1,2} and {0,1,3}
+    # (up to 85 bits), so this checks the widened steps too.
     g = debruijn_graph(C, k)
     proper = [t for r in range(1, C) for t in combinations(range(C), r)]
     for targets in proper:
         red = ultimate_iterate_coloring(C, k, targets)
-        expect = list_dp_totals(g, red, 24)
-        got = [t for t, _ in zip(_red_walk_totals(g, red), range(24))]
-        assert got == expect, targets
+        expect = list_dp_totals(g, red, 40)
+        got = list(islice(_red_walk_totals(g, red), 40))
+        assert got == expect and all(type(t) is int for t in got), targets
         assert check_bootstrap(g, red, 20).short_probability == Fraction(
             expect[19], g.n * g.d ** 19)
+
+
+def test_dp_widens_past_int64_on_all_red_debruijn():
+    # Every count is 2**(L-1): the sum of the n = 64 counts is taken over Python
+    # ints from L = 58, and the counts widen to object dtype at L = 64.
+    g = debruijn_graph(2, 6)
+    got = list(islice(_red_walk_totals(g, np.ones(g.n, dtype=bool)), 70))
+    assert got == [g.n * 2 ** (L - 1) for L in range(1, 71)]
+    assert all(type(t) is int for t in got)
+
+
+def test_debruijn_4_8_bootstrap_value():
+    # The value the exact-oracles benchmark checks: de Bruijn(4,8), targets {0}, L = 32.
+    v = check_bootstrap(debruijn_graph(4, 8), ultimate_iterate_coloring(4, 8, [0]), 32)
+    assert v.short_probability == Fraction(24947546154453, 151115727451828646838272)
 
 
 def test_debruijn_small():
