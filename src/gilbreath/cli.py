@@ -327,7 +327,7 @@ def _cmd_bootstrap(args) -> list[Group]:
     L = args.length
     start = time.perf_counter()
     verdict = walks.check_bootstrap(g, red, L, args.c)
-    stats = {"dp_steps": max(L, verdict.long_length or L) - 1,
+    stats = {"dp_steps": (verdict.long_length or L) - 1,
              "seconds": time.perf_counter() - start}
     print(f"stats: {json.dumps(stats, sort_keys=True)}", file=sys.stderr)
     c = args.c if args.c is not None else verdict.short_probability

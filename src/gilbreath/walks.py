@@ -86,20 +86,19 @@ def _red_walk_totals(g: RegularDigraph, red: np.ndarray) -> Iterator[int]:
     vec[v] counts the red-only walks of the current length that start at v: a
     walk one vertex longer is a red v followed by such a walk from one of v's
     successors.  The counts start in int64 and widen to Python ints (object
-    dtype) for good once the next step's sum of d counts could overflow; the
-    total of the n counts is summed over Python ints once it could overflow.
+    dtype) for good once the total of the n counts could overflow; since
+    d <= n (no multi-edges), that also covers the next step's sum of d counts.
     """
     red = np.asarray(red)
     if red.dtype != bool or red.shape != (g.n,):
         raise ValueError(f"coloring must be a bool array of length n = {g.n}")
     succ_t = np.ascontiguousarray(g.succ.T)  # (d, n): gathers and sums row by row
-    sum_fits, step_fits = INT64_MAX // g.n, INT64_MAX // g.d
+    limit = INT64_MAX // g.n
     red = vec = red.astype(np.int64)  # 1 on red vertices, 0 on blue
     while True:
-        top = vec.max()
-        yield int(vec.sum()) if top <= sum_fits else sum(vec.tolist())
-        if top > step_fits and vec.dtype != object:
+        if vec.dtype != object and vec.max() > limit:
             red, vec = red.astype(object), vec.astype(object)
+        yield int(vec.sum())
         vec = red * vec[succ_t].sum(axis=0)
 
 

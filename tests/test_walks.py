@@ -201,8 +201,8 @@ def test_dp_totals_match_list_dp(C, k):
 
 
 def test_dp_widens_past_int64_on_all_red_debruijn():
-    # Every count is 2**(L-1): the sum of the n = 64 counts is taken over Python
-    # ints from L = 58, and the counts widen to object dtype at L = 64.
+    # Every count is 2**(L-1): the counts widen to object dtype once one
+    # exceeds INT64_MAX // n = 2**57 - 1, at L = 58, and stay exact to L = 70.
     g = debruijn_graph(2, 6)
     got = list(islice(_red_walk_totals(g, np.ones(g.n, dtype=bool)), 70))
     assert got == [g.n * 2 ** (L - 1) for L in range(1, 71)]
