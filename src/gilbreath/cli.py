@@ -187,7 +187,7 @@ def _write_records(records: Iterable[Record], fmt: str, out: str | None) -> None
 
 
 # Options that say where and how records are written, not what they are.
-_OUTPUT_ONLY = ("out", "format", "threads")
+_OUTPUT_ONLY = ("out", "format")
 
 
 def _manifest(subcommand: str, params: dict, seed: int, started: float) -> None:
@@ -310,6 +310,8 @@ def _build_graph(args, rng_seed: int) -> tuple[walks.RegularDigraph, np.ndarray,
         return g, red, {"debruijn": [C, k], "targets": targets}
     if args.random_graph is not None:
         n, d = args.random_graph
+        _require(0 <= args.red_fraction <= 1,
+                 f"--red-fraction must lie in [0, 1], not {args.red_fraction}")
         rng = _random.Random(rng_seed)
         g = walks.random_regular_digraph(n, d, rng)
         red = walks.random_coloring(n, rng, args.red_fraction)
@@ -448,8 +450,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="integer seed, or 'random' for entropy (default 0)")
         p.add_argument("--out", help="write records to this file")
         p.add_argument("--format", choices=("jsonl", "csv"), default="jsonl")
-        p.add_argument("--threads", type=int,
-                       help="deprecated and ignored; runs are single-threaded")
 
     p = sub.add_parser("triangle", help="print the difference triangle of a row")
     p.add_argument("--values", type=int_row, required=True, help="comma-separated row entries")

@@ -189,29 +189,26 @@ def ultimate_iterate_coloring(C: int, k: int, targets: Iterable[int]) -> np.ndar
 
 
 def random_regular_digraph(n: int, d: int, rng: random.Random) -> RegularDigraph:
-    """Seeded random d-regular digraph as a union of d conflict-free random
-    permutations (each permutation contributes out-slot r -> in-slot r)."""
-    if d > n:
-        raise ValueError("d distinct successors need d <= n")
-    for _ in range(1000):
-        succs: list[set[int]] = [set() for _ in range(n)]
-        ok = True
-        for _round in range(d):
-            placed = None
-            for _try in range(200):
-                perm = list(range(n))
-                rng.shuffle(perm)
-                if all(perm[v] not in succs[v] for v in range(n)):
-                    placed = perm
-                    break
-            if placed is None:
-                ok = False
-                break
-            for v in range(n):
-                succs[v].add(placed[v])
-        if ok:
-            return RegularDigraph([sorted(s) for s in succs])
-    raise RuntimeError(f"could not sample a {d}-regular digraph on {n} vertices")
+    """Seeded random d-regular digraph: 10*n*d attempted switches from the
+    circulant v -> v, ..., v+d-1 (mod n).  A switch rewires two edges v1 -> w1
+    and v2 -> w2 to v1 -> w2 and v2 -> w1 unless that repeats an edge; it keeps
+    every degree.  Switches connect all 0/1 matrices with the same row and column
+    sums (Ryser 1957) and the chain is symmetric, so its law tends to uniform.
+    """
+    if not 1 <= d <= n:
+        raise ValueError(f"a {d}-regular digraph on {n} vertices needs 1 <= d <= n")
+    m = n * d
+    head = [(v + r) % n for v in range(n) for r in range(d)]  # edge e runs e // d -> head[e]
+    succ = [set(head[v * d:v * d + d]) for v in range(n)]
+    for _ in range(10 * m):
+        e1, e2 = rng.randrange(m), rng.randrange(m)
+        v1, w1, v2, w2 = e1 // d, head[e1], e2 // d, head[e2]
+        # Also rejects the degenerate draws: v1 == v2 or w1 == w2 repeats an edge.
+        if w2 not in succ[v1] and w1 not in succ[v2]:
+            head[e1], head[e2] = w2, w1
+            succ[v1] ^= {w1, w2}  # w1 out, w2 in
+            succ[v2] ^= {w1, w2}  # w2 out, w1 in
+    return RegularDigraph([sorted(s) for s in succ])
 
 
 def random_coloring(n: int, rng: random.Random, red_fraction: float = 0.5) -> np.ndarray:

@@ -70,6 +70,12 @@ def test_unknown_flag_exits_1(capsys):
     assert exc.value.code == 1
 
 
+def test_threads_option_is_gone(capsys):
+    code, _, err = run(capsys, "experiment", "collapse", "--M", "200", "--C", "3",
+                       "--trials", "8", "--threads", "8")
+    assert code == 1 and "unrecognized arguments: --threads 8" in err
+
+
 def test_parity_outputs(capsys, tmp_path):
     out_file = tmp_path / "parity.jsonl"
     code, out, _ = run(capsys, "parity", "--depth", "4",
@@ -169,12 +175,18 @@ def test_bootstrap_hypothesis_unmet(capsys):
     (("bootstrap", "--debruijn", "2", "--length", "4"),
      "argument --debruijn: invalid int_pair value"),
     (("bootstrap", "--random", "3", "--length", "4"), "argument --random: invalid int_pair value"),
+    (("bootstrap", "--random", "3,4", "--length", "4"),
+     "error: a 4-regular digraph on 3 vertices needs 1 <= d <= n"),
+    (("bootstrap", "--random", "6,2", "--red-fraction", "1.5", "--length", "4"),
+     "error: --red-fraction must lie in [0, 1], not 1.5"),
+    (("bootstrap", "--random", "6,2", "--red-fraction", "-1", "--length", "4"),
+     "error: --red-fraction must lie in [0, 1], not -1.0"),
     (("experiment", "leading-term", "--M", "10", "--f", "1:2,x", "--trials", "1"),
      "error: schedule '1:2,x': expected 'k' or '1:k1,n2:k2,...'"),
     (("exotic", "--seed-row", "0,3", "--cap", "3", "--width", "4", "--budget", "-1"),
      "error: budget must be >= 0"),
-], ids=["prob-even", "depths", "empty-range", "events", "debruijn", "random", "schedule",
-        "budget"])
+], ids=["prob-even", "depths", "empty-range", "events", "debruijn", "random", "random-d-above-n",
+        "red-fraction-above-1", "red-fraction-below-0", "schedule", "budget"])
 def test_bad_input_names_the_input(capsys, argv, message):
     code, _, err = run(capsys, *argv)
     assert code == 1
@@ -287,6 +299,15 @@ def test_bootstrap_stats_on_stderr_only(capsys, tmp_path):
     assert "stats" not in out_file.read_text() and "seconds" not in out_file.read_text()
 
 
+def test_bootstrap_random_dense_graph(capsys, tmp_path):
+    out_file = tmp_path / "r.jsonl"
+    code, _, _ = run(capsys, "bootstrap", "--random", "12,11", "--length", "4",
+                     "--out", str(out_file))
+    assert code == 0
+    record = json.loads(out_file.read_text())
+    assert record["params"]["random"] == [12, 11] and record["params"]["d"] == 11
+
+
 def test_bootstrap_graph_file(capsys, tmp_path):
     path = tmp_path / "g.txt"
     path.write_text("2 2\n0 1\n0 1\nrr\n")
@@ -357,15 +378,6 @@ def test_csv_and_jsonl_carry_same_records(capsys, tmp_path, argv):
         assert (row["run_id"], row["kind"], row["seed"]) == (r["run_id"], r["kind"], str(r["seed"]))
         assert json.loads(row["params"]) == r["params"]
         assert {k: row[k] for k in keys} == {k: _csv_cell(r["result"].get(k)) for k in keys}
-
-
-def test_experiment_reproducible_across_threads(capsys, tmp_path):
-    args = ("experiment", "collapse", "--M", "300", "--C", "3", "--trials", "16",
-            "--seed", "7")
-    f1, f2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
-    assert run(capsys, *args, "--threads", "1", "--out", str(f1))[0] == 0
-    assert run(capsys, *args, "--threads", "8", "--out", str(f2))[0] == 0
-    assert f1.read_bytes() == f2.read_bytes()
 
 
 def test_experiment_csv_aggregate(capsys, tmp_path):
@@ -477,8 +489,8 @@ def test_manifest_on_stderr(capsys):
     assert json.loads(err2.splitlines()[-1])["run_id"] == manifest["run_id"]
 
 
-@pytest.mark.parametrize("extra", [("--out", "t.jsonl"), ("--format", "csv", "--out", "t.csv"),
-                                   ("--threads", "8")], ids=["out", "csv", "threads"])
+@pytest.mark.parametrize("extra", [("--out", "t.jsonl"), ("--format", "csv", "--out", "t.csv")],
+                         ids=["out", "csv"])
 def test_manifest_run_id_ignores_output_options(capsys, tmp_path, monkeypatch, extra):
     monkeypatch.chdir(tmp_path)
     manifests = []
@@ -504,7 +516,7 @@ def test_threads_env_fallback(capsys, tmp_path, monkeypatch):
             "--seed", "1")
     assert run(capsys, *args, "--out", str(f1))[0] == 0
     monkeypatch.delenv("GILBREATH_THREADS")
-    assert run(capsys, *args, "--threads", "1", "--out", str(f2))[0] == 0
+    assert run(capsys, *args, "--out", str(f2))[0] == 0
     assert f1.read_bytes() == f2.read_bytes()
 
 

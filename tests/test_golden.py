@@ -52,9 +52,9 @@ GOLDEN = [
     (("bootstrap", "--cycle", "200", "--length", "10", "--c", "1/20"),
      "34d3aee0d2f9ae7d52478d1435884bd03bce3ba8c82aa6a4f009482e23c39e51"),
     (("bootstrap", "--random", "12,3", "--length", "6", "--seed", "5"),
-     "df7bc8dca5e8477bd560df3782f136984d415e00b424ac601be6a99c101d5bb3"),
+     "754fdf21f2e2f0c58a74bd3bed5955fb2c4c6363f70c158d280970a4aba5c3a3"),
     (("bootstrap", "--random", "40,4", "--red-fraction", "0.7", "--length", "9"),
-     "de01f362b63daad5ee56815264e388951b11238b72b006e5897058b75da0aaf3"),
+     "15c7249a229dc0f2f259f67d0d76e667f5e590d59cc3bbc234f3833381feaa38"),
 ]
 
 

@@ -257,9 +257,28 @@ def test_random_regular_digraphs_validate():
     rng = random.Random(99)
     for _ in range(50):
         n = rng.randint(2, 64)
-        d = rng.randint(1, min(4, n))
+        d = rng.randint(1, n)
         g = random_regular_digraph(n, d, rng)  # __post_init__ validates degrees
         assert g.n == n and g.d == d
+    for n, d in ((3, 4), (3, 0), (0, 0)):
+        with pytest.raises(ValueError, match="needs 1 <= d <= n"):
+            random_regular_digraph(n, d, rng)
+
+
+def test_random_regular_digraphs_near_uniform():
+    # All 90 2-regular digraphs on 4 vertices (self-loops allowed), each drawn
+    # about 33 times in 3,000 draws.  Chi-square has 89 degrees of freedom
+    # (mean 89, sd 13.3), so a uniform sampler stays far below 150.
+    every = {rows for rows in product(combinations(range(4), 2), repeat=4)
+             if all(sum(w in row for row in rows) == 2 for w in range(4))}
+    assert len(every) == 90
+    rng = random.Random(0)
+    counts = dict.fromkeys(every, 0)
+    for _ in range(3000):
+        counts[tuple(map(tuple, random_regular_digraph(4, 2, rng).succ.tolist()))] += 1
+    assert len(counts) == 90
+    expected = 3000 / 90
+    assert sum((c - expected) ** 2 / expected for c in counts.values()) < 150
 
 
 def test_walk_instance_round_trip():
