@@ -51,7 +51,8 @@ def step_array(rows: np.ndarray) -> np.ndarray:
 
 def batch_ultimate(rows: np.ndarray) -> np.ndarray:
     """Ultimate iterate of every row of a 2-D array (rows share one length)."""
-    work = np.asarray(rows)
+    # Column-major, so each ufunc in step_array runs down whole columns, not short rows.
+    work = np.asfortranarray(rows)
     while work.shape[1] > 1:
         work = step_array(work)
     return work[:, 0]
@@ -60,15 +61,12 @@ def batch_ultimate(rows: np.ndarray) -> np.ndarray:
 def enumerate_rows(alphabet: int, length: int) -> np.ndarray:
     """All alphabet**length rows over {0,...,alphabet-1} as a 2-D int64 array.
 
-    Row r is the base-`alphabet` expansion of r, most significant digit first,
-    so lexicographic order matches tuple order.
+    Row r is the base-`alphabet` expansion of r, most significant digit first, so
+    lexicographic order matches tuple order.  Column-major, as `batch_ultimate` works.
     """
-    n = alphabet**length
-    codes = np.arange(n, dtype=np.int64)
-    out = np.empty((n, length), dtype=np.int64)
-    for j in range(length - 1, -1, -1):
-        codes, out[:, j] = np.divmod(codes, alphabet)
-    return out
+    if alphabet <= 1:  # np.indices takes at most 64 dimensions
+        return np.zeros((alphabet**length, length), dtype=np.int64)
+    return np.indices((alphabet,) * length, dtype=np.int64).reshape(length, alphabet**length).T
 
 
 # Stop rules for `iterate_until`: predicates on a 1-D array row.

@@ -45,13 +45,13 @@ class RegularDigraph:
         if succ.ndim != 2 or 0 in succ.shape:
             raise ValueError("successors must form an (n, d) array with n >= 1 and d >= 1")
         n, d = succ.shape
-        bad = np.flatnonzero(((succ < 0) | (succ >= n)).any(axis=1))
-        if bad.size:
+        if succ.min() < 0 or succ.max() >= n:
+            bad = np.flatnonzero(((succ < 0) | (succ >= n)).any(axis=1))
             raise ValueError(f"vertex {bad[0]} has a successor out of range")
-        ordered = np.sort(succ, axis=1)
-        bad = np.flatnonzero((ordered[:, 1:] == ordered[:, :-1]).any(axis=1))
-        if bad.size:
-            raise ValueError(f"vertex {bad[0]} has a repeated successor (multi-edge)")
+        if (succ[:, 1:] <= succ[:, :-1]).any():  # a row not strictly increasing may repeat one
+            bad = np.flatnonzero((np.diff(np.sort(succ, axis=1)) == 0).any(axis=1))
+            if bad.size:
+                raise ValueError(f"vertex {bad[0]} has a repeated successor (multi-edge)")
         bad = np.flatnonzero(np.bincount(succ.ravel(), minlength=n) != d)
         if bad.size:
             raise ValueError(f"in-degree != {d} at vertices {bad[:8].tolist()}")
@@ -83,23 +83,25 @@ class WalkProbability:
 def _red_walk_totals(g: RegularDigraph, red: np.ndarray) -> Iterator[int]:
     """Numbers of red-only walks of lengths 1, 2, ...
 
-    vec[v] counts the red-only walks of the current length that start at v: a
-    walk one vertex longer is a red v followed by such a walk from one of v's
-    successors.  The counts start in int64 and widen to Python ints (object
-    dtype) for good once the total of the n counts could overflow; since
-    d <= n (no multi-edges), that also covers the next step's sum of d counts.
+    vec[i] counts the red-only walks of the current length from the i-th red
+    vertex: one vertex longer is that vertex, then such a walk from a successor.
+    Counts are int64 until one passes INT64_MAX // n, then Python ints (object
+    dtype); that keeps a sum of n counts, so (d <= n) each step's d-sum, exact.
     """
     red = np.asarray(red)
     if red.dtype != bool or red.shape != (g.n,):
         raise ValueError(f"coloring must be a bool array of length n = {g.n}")
-    succ_t = np.ascontiguousarray(g.succ.T)  # (d, n): gathers and sums row by row
+    r = int(red.sum())
+    slot = np.full(g.n, r)  # red vertices become 0..r-1; blue ones share slot r, always 0
+    slot[red] = np.arange(r)
+    succ_t = slot[g.succ[red].T.copy()]  # (d, r), contiguous: gathers and sums row by row
     limit = INT64_MAX // g.n
-    red = vec = red.astype(np.int64)  # 1 on red vertices, 0 on blue
+    vec = (np.arange(r + 1) < r).astype(np.int64)
     while True:
         if vec.dtype != object and vec.max() > limit:
-            red, vec = red.astype(object), vec.astype(object)
+            vec = vec.astype(object)
         yield int(vec.sum())
-        vec = red * vec[succ_t].sum(axis=0)
+        vec[:-1] = vec[succ_t].sum(axis=0)
 
 
 def _probability(g: RegularDigraph, totals: list[int], L: int) -> WalkProbability:
@@ -174,7 +176,7 @@ def debruijn_graph(C: int, k: int) -> RegularDigraph:
     if n > DEBRUIJN_VERTEX_CAP:
         raise ValueError(f"de Bruijn graph too large: {C}**{k} = {n} exceeds cap "
                          f"{DEBRUIJN_VERTEX_CAP}")
-    return RegularDigraph((np.arange(n) % C ** (k - 1) * C)[:, None] + np.arange(C))
+    return RegularDigraph(np.tile(np.arange(n), C).reshape(n, C))  # v -> (v*C + j) mod n
 
 
 def ultimate_iterate_coloring(C: int, k: int, targets: Iterable[int]) -> np.ndarray:

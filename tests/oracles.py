@@ -30,6 +30,26 @@ def ultimate_iterate(row):
     return cur[0]
 
 
+def red_walk_totals(g, red, L):
+    """Red-only walk counts for lengths 1..L by a plain list DP over all n vertices.
+
+    Each length pushes every vertex's count along its out-edges into red
+    successors; blue vertices keep a count of 0.
+    """
+    succ, red = g.succ.tolist(), [bool(r) for r in red]
+    vec = [1 if r else 0 for r in red]
+    totals = [sum(vec)]
+    while len(totals) < L:
+        new = [0] * g.n
+        for u, c in enumerate(vec):
+            for w in succ[u]:
+                if red[w]:
+                    new[w] += c
+        vec = new
+        totals.append(sum(new))
+    return totals
+
+
 def mask_via_binomial(i: int) -> ParityMask:
     """J_i by binomial parity: position j is a member iff C(i, j-1) is odd.
 

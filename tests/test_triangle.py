@@ -1,3 +1,5 @@
+from itertools import product
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -200,3 +202,39 @@ def test_enumerate_rows_and_batch_ultimate(C, length):
     ults = batch_ultimate(mat)
     for idx in range(0, mat.shape[0], max(1, mat.shape[0] // 50)):
         assert int(ults[idx]) == oracles.ultimate_iterate(mat[idx].tolist())
+
+
+@pytest.mark.parametrize("C, length", [(C, L) for C in range(1, 5) for L in range(7)] + [(1, 70)])
+def test_enumerate_rows_is_itertools_product(C, length):
+    # (1, 70) is past np.indices' 64-dimension limit.
+    mat = enumerate_rows(C, length)
+    assert mat.dtype == np.int64 and mat.shape == (C**length, length)
+    assert mat.tolist() == [list(t) for t in product(range(C), repeat=length)]
+
+
+@pytest.mark.parametrize("dtype", ["uint8", "int64", "object"])
+def test_batch_ultimate_ignores_memory_layout(dtype):
+    # C-ordered, Fortran-ordered and strided-view batches give the same values.
+    rng = np.random.default_rng(11)
+    if dtype == "object":  # Python ints, many of them past int64
+        base = rng.integers(0, 1 << 40, size=(60, 19)).astype(object) << 30
+        assert base.max() >= 2**63
+    else:
+        base = rng.integers(0, 200, size=(60, 19)).astype(dtype)
+    view = base[::2, 1::2]
+    assert not (view.flags.c_contiguous or view.flags.f_contiguous)
+    expect = [oracles.ultimate_iterate(row) for row in view.tolist()]
+    for batch in (np.ascontiguousarray(view), np.asfortranarray(view), view):
+        assert batch_ultimate(batch).tolist() == expect
+
+
+@pytest.mark.parametrize("dtype, high", [("uint8", 200), ("int64", 1 << 40), ("int64", 200)])
+def test_step_array_keeps_column_major_order(dtype, high):
+    # batch_ultimate's speed rests on every step of a Fortran-ordered batch
+    # staying Fortran-ordered, so each ufunc runs down whole columns.
+    rng = np.random.default_rng(2)
+    batch = np.asfortranarray(rng.integers(0, high, size=(500, 9)).astype(dtype))
+    for _ in range(8):
+        batch = step_array(batch)
+        assert batch.flags.f_contiguous and batch.shape[0] == 500
+    assert enumerate_rows(3, 5).flags.f_contiguous

@@ -20,29 +20,11 @@ from gilbreath.walks import (
     remark_counterexample,
     ultimate_iterate_coloring,
 )
-from oracles import ultimate_iterate
+from oracles import red_walk_totals, ultimate_iterate
 
 
 def two_vertex_complete():
     return RegularDigraph([[0, 1], [0, 1]])
-
-
-def list_dp_totals(g, red, L):
-    # The list DP the array DP replaced: push each vertex's red-only walk
-    # count along its out-edges, one length at a time.
-    succ, red = g.succ.tolist(), [bool(r) for r in red]
-    vec = [1 if r else 0 for r in red]
-    totals = [sum(vec)]
-    while len(totals) < L:
-        new = [0] * g.n
-        for u, c in enumerate(vec):
-            if c:
-                for w in succ[u]:
-                    if red[w]:
-                        new[w] += c
-        vec = new
-        totals.append(sum(new))
-    return totals
 
 
 def brute_all_red(g, red, L):
@@ -70,6 +52,13 @@ def test_regularity_validation():
         RegularDigraph([[1], [0], [0]])
     with pytest.raises(ValueError, match="n >= 1 and d >= 1"):
         RegularDigraph(np.empty((0, 1), dtype=np.int64))
+    # The messages name the first failing vertex, sorted row or not.
+    with pytest.raises(ValueError, match="vertex 2 has a repeated successor"):
+        RegularDigraph([[0, 1], [1, 0], [2, 2]])
+    with pytest.raises(ValueError, match="vertex 1 has a successor out of range"):
+        RegularDigraph([[0], [3], [1]])
+    # A valid graph keeps its rows in the order given.
+    assert RegularDigraph([[1, 0], [0, 1]]).succ.tolist() == [[1, 0], [0, 1]]
 
 
 @pytest.mark.parametrize("succ", [[[1], [2]], [[1], [-1]], [[0, 1], [2**70, 0]]],
@@ -193,11 +182,35 @@ def test_dp_totals_match_list_dp(C, k):
     proper = [t for r in range(1, C) for t in combinations(range(C), r)]
     for targets in proper:
         red = ultimate_iterate_coloring(C, k, targets)
-        expect = list_dp_totals(g, red, 40)
+        expect = red_walk_totals(g, red, 40)
         got = list(islice(_red_walk_totals(g, red), 40))
         assert got == expect and all(type(t) is int for t in got), targets
         assert check_bootstrap(g, red, 20).short_probability == Fraction(
             expect[19], g.n * g.d ** 19)
+
+
+def test_dp_totals_edge_colorings():
+    # No red vertex, every vertex red, and one red vertex with a self-loop
+    # (every other vertex, and so every successor slot but its own, is blue).
+    g = debruijn_graph(2, 3)
+    one = np.arange(g.n) == 0  # word 000 -> 000 is its only red successor
+    for red in (np.zeros(g.n, dtype=bool), np.ones(g.n, dtype=bool), one):
+        assert list(islice(_red_walk_totals(g, red), 30)) == red_walk_totals(g, red, 30)
+    assert red_walk_totals(g, one, 30) == [1] * 30
+    loop = RegularDigraph([[0]])
+    assert list(islice(_red_walk_totals(loop, np.array([True])), 5)) == [1] * 5
+
+
+def test_dp_totals_match_list_dp_random():
+    # 200 random graphs and colorings; in 59 of them a count passes
+    # INT64_MAX // n, so the DP widens, before L = 60.
+    rng = random.Random(17)
+    for _ in range(200):
+        n = rng.randint(1, 30)
+        g = random_regular_digraph(n, rng.randint(1, min(5, n)), rng)
+        red = random_coloring(n, rng, rng.choice([0.0, 0.3, 0.7, 1.0]))
+        got = list(islice(_red_walk_totals(g, red), 60))
+        assert got == red_walk_totals(g, red, 60) and all(type(t) is int for t in got)
 
 
 def test_dp_widens_past_int64_on_all_red_debruijn():
