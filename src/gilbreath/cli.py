@@ -245,7 +245,7 @@ def _cmd_parity(args) -> list[Group]:
                 p = parity.prob_even(C, i)
                 probs.append(p)
                 params = {"C": C, "depth": i}
-                result = {"prob_even": f"{p.numerator}/{p.denominator}", "float": float(p)}
+                result = {"prob_even": str(p), "float": float(p)}
                 groups.append(("prob_even", params, [result]))
         lo, hi = min(probs), max(probs)
         print(f"prob_even over C in [{c_lo},{c_hi}], depth in [{i_lo},{i_hi}]: "
@@ -308,15 +308,13 @@ def _build_graph(args, rng_seed: int) -> tuple[walks.RegularDigraph, np.ndarray,
         g = walks.debruijn_graph(C, k)
         red = walks.ultimate_iterate_coloring(C, k, targets)
         return g, red, {"debruijn": [C, k], "targets": targets}
-    if args.random_graph is not None:
-        n, d = args.random_graph
-        _require(0 <= args.red_fraction <= 1,
-                 f"--red-fraction must lie in [0, 1], not {args.red_fraction}")
-        rng = _random.Random(rng_seed)
-        g = walks.random_regular_digraph(n, d, rng)
-        red = walks.random_coloring(n, rng, args.red_fraction)
-        return g, red, {"random": [n, d], "red_fraction": args.red_fraction}
-    raise ValueError("bootstrap: give one of --graph/--cycle/--debruijn/--random")
+    n, d = args.random_graph
+    _require(0 <= args.red_fraction <= 1,
+             f"--red-fraction must lie in [0, 1], not {args.red_fraction}")
+    rng = _random.Random(rng_seed)
+    g = walks.random_regular_digraph(n, d, rng)
+    red = walks.random_coloring(n, rng, args.red_fraction)
+    return g, red, {"random": [n, d], "red_fraction": args.red_fraction}
 
 
 def _exact_fractions(items: list[tuple[str, object]]) -> dict:
@@ -349,29 +347,13 @@ def _cmd_bootstrap(args) -> list[Group]:
     return [("bootstrap", params, [result])]
 
 
-# Experiment subcommand: (config kind, options it needs).
-_EXPERIMENTS = {
-    "collapse": ("uniform_collapse", ("M", "C")),
-    "increasing-alphabet": ("increasing_alphabet", ("M", "f")),
-    "leading-term": ("gap_leading_term", ("M", "f")),
-    "ultimate-zero": ("ultimate_zero", ("C", "depth")),
-}
-
-
 def _cmd_experiment(args) -> list[Group]:
-    name = args.experiment_kind
-    kind, needs = _EXPERIMENTS[name]
-    _require(all(getattr(args, opt) is not None for opt in needs),
-             f"{name} needs " + " and ".join(f"--{opt}" for opt in needs))
-    # Each kind takes only its own options, so that the others, if given,
-    # leave params and run_id alone.
+    # A kind's subparser declares only the options that kind reads; the others are absent.
     cfg = experiments.ExperimentConfig(
-        kind=kind, M=args.depth if kind == "ultimate_zero" else args.M, trials=args.trials,
-        seed=args.seed, C=args.C if "C" in needs else None,
-        schedule=experiments.Schedule.parse(args.f) if "f" in needs else None,
-        T=args.T if kind in ("uniform_collapse", "increasing_alphabet") else None,
-        weights=tuple(args.weights) if args.weights and kind == "uniform_collapse" else None,
-        trial_offset=args.trial_offset)
+        kind=args.kind, M=args.M, trials=args.trials, seed=args.seed, C=getattr(args, "C", None),
+        T=getattr(args, "T", None), trial_offset=args.trial_offset,
+        schedule=experiments.Schedule.parse(args.f) if "f" in args else None,
+        weights=tuple(args.weights) if getattr(args, "weights", None) else None)
 
     def results() -> Iterator[dict]:
         start = time.perf_counter()
@@ -384,7 +366,7 @@ def _cmd_experiment(args) -> list[Group]:
                  "trials_per_s": cfg.trials / seconds}
         print(f"stats: {json.dumps(stats, sort_keys=True)}", file=sys.stderr)
 
-    return [(kind, cfg.params(), results())]
+    return [(cfg.kind, cfg.params(), results())]
 
 
 def _cmd_primes(args) -> list[Group]:
@@ -476,14 +458,16 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
 
     p = sub.add_parser("bootstrap", help="exact all-red walk probabilities and the bootstrap check")
-    p.add_argument("--graph", help="graph file: 'n d', n successor lines, then r/b coloring line")
-    p.add_argument("--cycle", type=int, help="n-cycle with first n/10 vertices red")
-    p.add_argument("--debruijn", type=int_pair,
-                   help="'C,k' de Bruijn graph with ultimate-iterate coloring")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--graph",
+                        help="graph file: 'n d', n successor lines, then r/b coloring line")
+    source.add_argument("--cycle", type=int, help="n-cycle with first n/10 vertices red")
+    source.add_argument("--debruijn", type=int_pair,
+                        help="'C,k' de Bruijn graph with ultimate-iterate coloring")
+    source.add_argument("--random", dest="random_graph", type=int_pair,
+                        help="'n,d' seeded random regular digraph")
     p.add_argument("--targets", type=int_set,
                    help="red targets for --debruijn (default '0'; '' colours none)")
-    p.add_argument("--random", dest="random_graph", type=int_pair,
-                   help="'n,d' seeded random regular digraph")
     p.add_argument("--red-fraction", type=float, default=0.5)
     p.add_argument("--length", type=int, required=True, help="walk length L")
     p.add_argument("--c", type=fraction,
@@ -491,18 +475,33 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
 
     p = sub.add_parser("experiment", help="seeded Monte Carlo runs, JSONL trials + aggregate")
-    p.add_argument("experiment_kind", choices=list(_EXPERIMENTS))
-    p.add_argument("--M", type=int, help="sequence length")
-    p.add_argument("--C", type=int, help="alphabet size")
-    p.add_argument("--f", help="alphabet schedule: constant 'k' or '1:k1,n2:k2,...'")
-    p.add_argument("--T", type=int, help="iteration budget (default M-1)")
-    p.add_argument("--depth", type=int, help="row length for ultimate-zero")
-    p.add_argument("--trials", type=int, required=True)
-    p.add_argument("--trial-offset", type=int, default=0,
-                   help="first trial index (disjoint batches share a seed)")
-    p.add_argument("--weights", type=float, nargs="+",
+    kinds = p.add_subparsers(dest="experiment_kind", required=True)
+    # No abbreviations: a kind without --f would read --f as --format.
+    k = kinds.add_parser("collapse", allow_abbrev=False)
+    k.set_defaults(kind="uniform_collapse")
+    k.add_argument("--M", type=int, required=True, help="sequence length")
+    k.add_argument("--C", type=int, required=True, help="alphabet size")
+    k.add_argument("--T", type=int, help="iteration budget (default M-1)")
+    k.add_argument("--weights", type=float, nargs="+",
                    help="per-symbol weights for weighted collapse sampling")
-    common(p)
+    k = kinds.add_parser("increasing-alphabet", allow_abbrev=False)
+    k.set_defaults(kind="increasing_alphabet")
+    k.add_argument("--M", type=int, required=True, help="sequence length")
+    k.add_argument("--f", required=True, help="alphabet schedule: constant 'k' or '1:k1,n2:k2,...'")
+    k.add_argument("--T", type=int, help="iteration budget (default M-1)")
+    k = kinds.add_parser("leading-term", allow_abbrev=False)
+    k.set_defaults(kind="gap_leading_term")
+    k.add_argument("--M", type=int, required=True, help="sequence length")
+    k.add_argument("--f", required=True, help="alphabet schedule: constant 'k' or '1:k1,n2:k2,...'")
+    k = kinds.add_parser("ultimate-zero", allow_abbrev=False)
+    k.set_defaults(kind="ultimate_zero")
+    k.add_argument("--C", type=int, required=True, help="alphabet size")
+    k.add_argument("--depth", dest="M", metavar="DEPTH", type=int, required=True, help="row length")
+    for k in kinds.choices.values():
+        k.add_argument("--trials", type=int, required=True)
+        k.add_argument("--trial-offset", type=int, default=0,
+                       help="first trial index (disjoint batches share a seed)")
+        common(k)
 
     p = sub.add_parser("primes", help="verify the prime difference triangle up to a limit")
     p.add_argument("--limit", type=int, required=True)

@@ -372,6 +372,6 @@ def _ultimate_zero_results(cfg: ExperimentConfig) -> Iterator[dict]:
     }
     if C**depth <= EXHAUSTIVE_CAP:
         exact = exhaustive_ultimate_zero(C, depth)
-        aggregate["exact_probability"] = f"{exact.numerator}/{exact.denominator}"
+        aggregate["exact_probability"] = str(exact)
         aggregate["exact_float"] = float(exact)
     yield aggregate

@@ -164,29 +164,29 @@ def remark_counterexample(n: int):
     return g, red, L, c, long_prob
 
 
+def _debruijn_vertex_count(C: int, k: int) -> int:
+    if C < 2 or k < 1:
+        raise ValueError("need C >= 2 and k >= 1")
+    if C**k > DEBRUIJN_VERTEX_CAP:
+        raise ValueError(f"de Bruijn graph too large: {C}**{k} = {C**k} exceeds cap "
+                         f"{DEBRUIJN_VERTEX_CAP}")
+    return C**k
+
+
 def debruijn_graph(C: int, k: int) -> RegularDigraph:
     """De Bruijn graph on length-k words over {0,...,C-1}: each word shifts left
     and appends any symbol, giving degree C.
 
     Vertex v encodes its word in base C, most significant symbol first.
     """
-    if C < 2 or k < 1:
-        raise ValueError("need C >= 2 and k >= 1")
-    n = C**k
-    if n > DEBRUIJN_VERTEX_CAP:
-        raise ValueError(f"de Bruijn graph too large: {C}**{k} = {n} exceeds cap "
-                         f"{DEBRUIJN_VERTEX_CAP}")
+    n = _debruijn_vertex_count(C, k)
     return RegularDigraph(np.tile(np.arange(n), C).reshape(n, C))  # v -> (v*C + j) mod n
 
 
 def ultimate_iterate_coloring(C: int, k: int, targets: Iterable[int]) -> np.ndarray:
     """Color red the words whose ultimate iterate lies in `targets`, enumerating
     all C**k words in the same vertex order as debruijn_graph."""
-    if C < 2 or k < 1:
-        raise ValueError("need C >= 2 and k >= 1")
-    n = C**k
-    if n > DEBRUIJN_VERTEX_CAP:
-        raise ValueError(f"coloring too large: {C}**{k} = {n} exceeds cap {DEBRUIJN_VERTEX_CAP}")
+    _debruijn_vertex_count(C, k)
     return np.isin(batch_ultimate(enumerate_rows(C, k)), list(targets))
 
 
@@ -225,7 +225,7 @@ def parse_walk_instance(text: str) -> tuple[RegularDigraph, np.ndarray | None]:
         raise ValueError("empty graph description")
     try:
         n, d = (int(tok) for tok in lines[0].split())
-    except Exception as exc:
+    except ValueError as exc:
         raise ValueError(f"malformed header line {lines[0]!r}") from exc
     if len(lines) < 1 + n:
         raise ValueError(f"expected {n} successor lines, found {len(lines) - 1}")

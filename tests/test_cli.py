@@ -3,11 +3,12 @@ import json
 import math
 import os
 import shlex
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from gilbreath import blocks, cli, experiments, triangle
+from gilbreath import blocks, cli, experiments, triangle, walks
 from gilbreath.cli import Finding, _run_id, main
 
 PRIME_TRIANGLE = """\
@@ -74,6 +75,52 @@ def test_threads_option_is_gone(capsys):
     code, _, err = run(capsys, "experiment", "collapse", "--M", "200", "--C", "3",
                        "--trials", "8", "--threads", "8")
     assert code == 1 and "unrecognized arguments: --threads 8" in err
+
+
+@pytest.mark.parametrize("argv, option", [
+    (("leading-term", "--M", "10", "--f", "3"), ("--T", "4")),
+    (("ultimate-zero", "--C", "3", "--depth", "5"), ("--M", "9")),
+    (("ultimate-zero", "--C", "3", "--depth", "5"), ("--weights", "0.5", "0.5", "0.5")),
+    (("increasing-alphabet", "--M", "10", "--f", "3"), ("--weights", "0.5", "0.5")),
+    (("collapse", "--M", "10", "--C", "3"), ("--depth", "5")),
+    # --f is not read as an abbreviation of --format.
+    (("collapse", "--M", "10", "--C", "3"), ("--f", "3")),
+], ids=["leading-term --T", "ultimate-zero --M", "ultimate-zero --weights",
+        "increasing-alphabet --weights", "collapse --depth", "collapse --f"])
+def test_experiment_foreign_option_exits_1(capsys, argv, option):
+    code, out, err = run(capsys, "experiment", *argv, *option, "--trials", "1")
+    assert code == 1 and not out
+    assert f"unrecognized arguments: {' '.join(option)}" in err
+
+
+def test_bootstrap_two_graph_sources_exit_1(capsys):
+    code, out, err = run(capsys, "bootstrap", "--cycle", "20", "--debruijn", "2,3",
+                         "--length", "3")
+    assert code == 1 and not out
+    assert "argument --debruijn: not allowed with argument --cycle" in err
+
+
+def test_ultimate_zero_help_lists_its_own_options(capsys):
+    code, out, _ = run(capsys, "experiment", "ultimate-zero", "--help")
+    assert code == 0
+    assert "--depth DEPTH" in out and "--C C" in out
+    assert not {"--M", "--T", "--weights", "--f"} & set(out.replace("[", " ").split())
+
+
+def parsers(parser):
+    yield parser
+    for action in parser._actions:
+        if isinstance(action.choices, dict):  # a subparsers action: name -> parser
+            for sub in action.choices.values():
+                yield from parsers(sub)
+
+
+def test_every_help_renders():
+    # argparse formats help only when it is shown, so a bad help string fails only then.
+    found = list(parsers(cli.build_parser()))
+    assert len(found) == 1 + len(cli._HANDLERS) + 4  # the top level, each subcommand, each kind
+    for p in found:
+        assert p.format_help().startswith(f"usage: {p.prog}")
 
 
 def test_parity_outputs(capsys, tmp_path):
@@ -237,7 +284,7 @@ def test_bootstrap_graph_file_bad_successor_names_the_vertex(capsys, tmp_path):
     (("parity",), "error: parity: give --depth and/or --prob-even"),
     (("blocks", "--values", "1,2"), "error: blocks: give --allowed, --destruction, and/or --events"),
     (("bootstrap", "--length", "3"),
-     "error: bootstrap: give one of --graph/--cycle/--debruijn/--random"),
+     "error: one of the arguments --graph --cycle --debruijn --random is required"),
 ], ids=["zero-d-without-d", "parity", "blocks", "bootstrap"])
 def test_nothing_to_do_exits_1(capsys, argv, message):
     code, _, err = run(capsys, *argv)
@@ -411,6 +458,39 @@ def test_leading_term_closure_failure_is_a_finding(capsys, monkeypatch, tmp_path
     assert Finding is triangle.Finding
 
 
+def finding(err: str) -> dict:
+    """The dump that follows the FINDING line on stderr."""
+    lines = err.splitlines()
+    (at,) = [i for i, line in enumerate(lines) if line.startswith("FINDING: ")]
+    return json.loads(lines[at + 1])
+
+
+def test_blocks_destruction_falsified_is_a_finding(capsys, monkeypatch, tmp_path):
+    monkeypatch.setattr(cli, "check_block_destruction",
+                        lambda row: blocks.DestructionVerdict(True, False, 2, 4, 2))
+    code, _, err = run(capsys, "blocks", "--values", "1,0,2,2,2", "--destruction",
+                       "--out", str(tmp_path / "b.jsonl"))
+    assert code == 2
+    assert "FINDING: max-destruction bound falsified" in err
+    assert finding(err) == {"finding": "max-destruction bound falsified",
+                            "reproducer": {"row": [1, 0, 2, 2, 2]}}
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_bootstrap_falsified_is_a_finding(capsys, monkeypatch, tmp_path):
+    verdict = walks.BootstrapVerdict(True, False, Fraction(1, 10), Fraction(0), 10,
+                                     Fraction(1, 4000))
+    monkeypatch.setattr(walks, "check_bootstrap", lambda g, red, L, c: verdict)
+    code, _, err = run(capsys, "bootstrap", "--cycle", "20", "--length", "1", "--c", "1/20",
+                       "--out", str(tmp_path / "b.jsonl"))
+    assert code == 2
+    assert "FINDING: bootstrap conclusion falsified" in err
+    graph = walks.format_walk_instance(*walks.remark_counterexample(20)[:2])
+    assert finding(err) == {"finding": "bootstrap conclusion falsified",
+                            "reproducer": {"graph": graph, "L": 1, "c": "1/20"}}
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
 def test_out_to_non_regular_file(capsys, fmt):
     code, out, _ = run(capsys, "experiment", "ultimate-zero", "--C", "3", "--depth", "5",
@@ -421,7 +501,7 @@ def test_out_to_non_regular_file(capsys, fmt):
 
 def test_experiment_missing_args(capsys):
     code, _, err = run(capsys, "experiment", "collapse", "--trials", "5")
-    assert code == 1 and "needs --M and --C" in err
+    assert code == 1 and "the following arguments are required: --M, --C" in err
 
 
 def test_primes_cli(capsys):

@@ -253,6 +253,18 @@ def test_debruijn_cap():
         debruijn_graph(2, 21)
 
 
+@pytest.mark.parametrize("C, k, message", [
+    (2, 21, r"de Bruijn graph too large: 2\*\*21 = 2097152 exceeds cap 1048576"),
+    (1, 3, "need C >= 2 and k >= 1"),
+    (2, 0, "need C >= 2 and k >= 1"),
+])
+def test_ultimate_coloring_checks_as_the_graph_does(C, k, message):
+    with pytest.raises(ValueError, match=message):
+        debruijn_graph(C, k)
+    with pytest.raises(ValueError, match=message):
+        ultimate_iterate_coloring(C, k, [0])
+
+
 def test_ultimate_coloring_examples():
     red = ultimate_iterate_coloring(2, 2, {0})
     assert red.tolist() == [True, False, False, True]  # words 00 and 11
@@ -313,3 +325,14 @@ def test_parse_rejects_malformed():
         parse_walk_instance("2 1\n1\n0\nxr")  # bad coloring char
     with pytest.raises(ValueError, match="out of range"):
         parse_walk_instance("2 1\n1\n2\nrr")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("2\n0\n1\n", "malformed header line '2'"),
+    ("a b\n0\n1\n", "malformed header line 'a b'"),
+    ("2 2 2\n0 1\n0 1\n", "malformed header line '2 2 2'"),
+    ("2 2\n0\n0 1\n", "vertex 0: expected 2 successors, found 1"),
+], ids=["one-number", "not-numbers", "three-numbers", "short-successor-line"])
+def test_parse_names_the_bad_line(text, message):
+    with pytest.raises(ValueError, match=message):
+        parse_walk_instance(text)
