@@ -3,7 +3,8 @@
 
 Exploratory only: checks ultimate-iterate colorings and random colorings,
 reporting the smallest observed slack P(L') / (c^2/10).  Slack 1 would mean a
-coloring at the edge of the bound; anything below 1 would be a finding.
+coloring at the edge of the bound; anything below 1 would be a finding, and
+the script then exits 2.
 """
 
 import argparse
@@ -69,6 +70,7 @@ def main() -> None:
     if tightest < 1:
         print("FINDING: bootstrap conclusion violated -- rerun with gilbreath "
               "bootstrap to reproduce")
+        raise SystemExit(2)
 
 
 if __name__ == "__main__":

@@ -4,7 +4,6 @@ from .triangle import Row, iterate_until, ultimate_iterate
 from .parity import ParityMask, mask, parity_of_ultimate, prob_even
 from .blocks import (
     BlockReport,
-    BlockSpec,
     check_block_destruction,
     check_inverse_iterates,
     detect_event_cascade,
@@ -28,6 +27,6 @@ from .experiments import (
     sample_uniform,
 )
 from .primes import SieveConfig, Verdict, stabilization_predicate, verify_gilbreath
-from .lifting import ExoticCertificate, LiftConstraint, lift_search, preimages, verify_certificate
+from .lifting import ExoticCertificate, lift_search, preimages, verify_certificate
 
 __version__ = "0.1.0"

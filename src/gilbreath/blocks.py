@@ -8,21 +8,9 @@ used throughout.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Collection, Sequence
 
 from .triangle import Row, iterate_until, never
-
-
-@dataclass(frozen=True)
-class BlockSpec:
-    """Allowed-value set, optionally requiring some block entry to equal a witness."""
-
-    allowed: frozenset[int]
-    require_witness: int | None = None
-
-    def __post_init__(self) -> None:
-        if not self.allowed:
-            raise ValueError("allowed set must be non-empty")
 
 
 @dataclass(frozen=True)
@@ -55,14 +43,17 @@ def _longest_run(row: Sequence[int], keep, witness: int | None = None) -> tuple[
     return best_len, best_start
 
 
-def longest_block(row: Sequence[int], spec: BlockSpec) -> BlockReport:
-    """Longest contiguous run with all entries in spec.allowed.
+def longest_block(row: Sequence[int], allowed: Collection[int],
+                  witness: int | None = None) -> BlockReport:
+    """Longest contiguous run with all entries in the non-empty set `allowed`.
 
-    With require_witness set, only runs containing the witness count.  Ties
-    break to the smallest start index.
+    With `witness` set, only runs containing the witness count.  Ties break
+    to the smallest start index.
     """
-    length, start = _longest_run(row, spec.allowed.__contains__, spec.require_witness)
-    return BlockReport(length, start, spec.require_witness is not None and length > 0)
+    if not allowed:
+        raise ValueError("allowed set must be non-empty")
+    length, start = _longest_run(row, allowed.__contains__, witness)
+    return BlockReport(length, start, witness is not None and length > 0)
 
 
 @dataclass(frozen=True)
@@ -86,7 +77,7 @@ def check_block_destruction(row: Sequence[int]) -> DestructionVerdict:
     d = max(row)
     if d == 0:
         raise ValueError("degenerate: d=0")
-    L = longest_block(row, BlockSpec(frozenset({0, d}), require_witness=d)).max_length
+    L = longest_block(row, {0, d}, d).max_length
     if L > len(row) - 1:
         return DestructionVerdict(False, None, d, L, None)
     observed = max(iterate_until(row, never, L).row)
@@ -156,7 +147,7 @@ def detect_event_cascade(row: Sequence[int], C: int, R: int) -> list[EventReport
             reports.append(EventReport(j, iteration, allowed, required, "insufficient_history"))
             continue
         cur, at = iterate_until(cur, never, iteration - at).row, iteration
-        got = longest_block(cur, BlockSpec(frozenset(allowed))).max_length
+        got = longest_block(cur, allowed).max_length
         status = "fired" if got >= required else "absent"
         reports.append(EventReport(j, iteration, allowed, required, status))
     return reports

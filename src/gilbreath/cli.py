@@ -27,7 +27,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from . import __version__, experiments, lifting, parity, primes, walks
-from .blocks import BlockSpec, check_block_destruction, detect_event_cascade, longest_block
+from .blocks import check_block_destruction, detect_event_cascade, longest_block
 from .triangle import (
     Finding,
     all_in_zero_d,
@@ -216,6 +216,7 @@ _STOP_CHOICES = {
 def _cmd_triangle(args) -> list[Group]:
     row = args.values
     stop = _STOP_CHOICES[args.stop]
+    _require(args.d is None or stop is all_in_zero_d, "--d needs --stop zero-d")
     if stop is all_in_zero_d:
         _require(args.d is not None, "--stop zero-d needs --d")
         stop = all_in_zero_d(args.d)
@@ -258,10 +259,10 @@ def _cmd_parity(args) -> list[Group]:
 def _cmd_blocks(args) -> list[Group]:
     row = args.values
     groups = []
+    _require(args.witness is None or args.allowed is not None, "--witness needs --allowed")
     if args.allowed is not None:
-        spec = BlockSpec(frozenset(args.allowed), require_witness=args.witness)
-        rep = longest_block(row, spec)
-        params = {"values": row, "allowed": sorted(spec.allowed), "witness": args.witness}
+        rep = longest_block(row, args.allowed, args.witness)
+        params = {"values": row, "allowed": sorted(set(args.allowed)), "witness": args.witness}
         print(f"longest block: length {rep.max_length} at position {rep.start_index}")
         groups.append(("block_report", params, [asdict(rep)]))
     if args.destruction:
@@ -288,6 +289,9 @@ def _cmd_blocks(args) -> list[Group]:
 def _build_graph(args, rng_seed: int) -> tuple[walks.RegularDigraph, np.ndarray, dict]:
     import random as _random
 
+    _require(args.targets is None or args.debruijn is not None, "--targets needs --debruijn")
+    _require(args.red_fraction is None or args.random_graph is not None,
+             "--red-fraction needs --random")
     if args.graph is not None:
         with open(args.graph) as fh:
             g, red = walks.parse_walk_instance(fh.read())
@@ -309,12 +313,12 @@ def _build_graph(args, rng_seed: int) -> tuple[walks.RegularDigraph, np.ndarray,
         red = walks.ultimate_iterate_coloring(C, k, targets)
         return g, red, {"debruijn": [C, k], "targets": targets}
     n, d = args.random_graph
-    _require(0 <= args.red_fraction <= 1,
-             f"--red-fraction must lie in [0, 1], not {args.red_fraction}")
+    red_fraction = 0.5 if args.red_fraction is None else args.red_fraction
+    _require(0 <= red_fraction <= 1, f"--red-fraction must lie in [0, 1], not {red_fraction}")
     rng = _random.Random(rng_seed)
     g = walks.random_regular_digraph(n, d, rng)
-    red = walks.random_coloring(n, rng, args.red_fraction)
-    return g, red, {"random": [n, d], "red_fraction": args.red_fraction}
+    red = walks.random_coloring(n, rng, red_fraction)
+    return g, red, {"random": [n, d], "red_fraction": red_fraction}
 
 
 def _exact_fractions(items: list[tuple[str, object]]) -> dict:
@@ -393,20 +397,20 @@ def _cmd_exotic(args) -> list[Group]:
     import random as _random
 
     if args.verify is not None:
+        _require(args.cap is None and args.width is None, "--verify takes no --cap or --width")
         with open(args.verify) as fh:
-            cert = lifting.ExoticCertificate.from_json(fh.read())
+            cert = lifting.ExoticCertificate.from_record(fh.read())
         ok = lifting.verify_certificate(cert)
         print(f"certificate {'valid' if ok else 'INVALID'}: d={cert.d}, "
               f"width {len(cert.initial)}, pure from row {cert.first_pure_row}")
         params = {"verify": args.verify}
         result = {"valid": ok, "d": cert.d, "first_pure_row": cert.first_pure_row}
         return [("exotic_verify", params, [result])]
-    _require(args.seed_row is not None and args.cap is not None and args.width is not None,
-             "exotic search needs --seed-row, --cap, and --width")
-    seed_row = args.seed_row
-    constraint = lifting.LiftConstraint(alphabet_max=args.cap, width_goal=args.width)
-    cert = lifting.lift_search(seed_row, constraint, args.budget, _random.Random(args.seed))
-    params = {"seed_row": seed_row, "cap": args.cap, "width": args.width, "budget": args.budget}
+    _require(args.cap is not None and args.width is not None, "--seed-row needs --cap and --width")
+    cert = lifting.lift_search(args.seed_row, args.cap, args.width, args.budget,
+                               _random.Random(args.seed))
+    params = {"seed_row": args.seed_row, "cap": args.cap, "width": args.width,
+              "budget": args.budget}
     if cert is None:
         print("none found within budget")
         result: dict = {"found": False}
@@ -468,14 +472,14 @@ def build_parser() -> argparse.ArgumentParser:
                         help="'n,d' seeded random regular digraph")
     p.add_argument("--targets", type=int_set,
                    help="red targets for --debruijn (default '0'; '' colours none)")
-    p.add_argument("--red-fraction", type=float, default=0.5)
+    p.add_argument("--red-fraction", type=float, help="red share for --random (default 0.5)")
     p.add_argument("--length", type=int, required=True, help="walk length L")
     p.add_argument("--c", type=fraction,
                    help="hypothesis threshold (fraction, default: exact P at L)")
     common(p)
 
     p = sub.add_parser("experiment", help="seeded Monte Carlo runs, JSONL trials + aggregate")
-    kinds = p.add_subparsers(dest="experiment_kind", required=True)
+    kinds = p.add_subparsers(required=True)
     # No abbreviations: a kind without --f would read --f as --format.
     k = kinds.add_parser("collapse", allow_abbrev=False)
     k.set_defaults(kind="uniform_collapse")
@@ -515,11 +519,13 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
 
     p = sub.add_parser("exotic", help="lift a {0,d} row upward into an exotic initial sequence")
-    p.add_argument("--seed-row", type=int_row, help="the {0,d}-valued row to lift")
+    mode = p.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--seed-row", type=int_row, help="the {0,d}-valued row to lift")
+    mode.add_argument("--verify", metavar="FILE",
+                      help="verify the JSONL exotic_search record that --out wrote")
     p.add_argument("--cap", type=int, help="alphabet cap for lifted entries")
     p.add_argument("--width", type=int, help="target initial-row width")
     p.add_argument("--budget", type=int, default=100_000, help="DFS node budget")
-    p.add_argument("--verify", help="verify a certificate JSON file instead of searching")
     common(p)
 
     return parser

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .triangle import Row, all_in_zero_d, iterate_until, validate_row
@@ -51,18 +51,6 @@ def preimages(row: Sequence[int], cap: int) -> Iterator[Row]:
 
 
 @dataclass(frozen=True)
-class LiftConstraint:
-    alphabet_max: int
-    width_goal: int
-
-    def __post_init__(self) -> None:
-        if self.alphabet_max < 1:
-            raise ValueError("alphabet_max must be >= 1")
-        if self.width_goal < 1:
-            raise ValueError("width_goal must be >= 1")
-
-
-@dataclass(frozen=True)
 class ExoticCertificate:
     """An initial row whose triangle reaches a row valued only in {0, d}."""
 
@@ -71,19 +59,23 @@ class ExoticCertificate:
     depth_checked: int
     first_pure_row: int
 
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True)
-
     @classmethod
-    def from_json(cls, text: str) -> "ExoticCertificate":
-        """Parse a certificate; ValueError on text that is not JSON, a missing
-        field, or a non-integer or negative entry."""
+    def from_record(cls, text: str) -> "ExoticCertificate":
+        """Read the certificate in the JSONL `exotic_search` record that
+        `gilbreath exotic --out` writes; ValueError on text that is not JSON,
+        a record of another kind or one that found no row, a missing field,
+        or a non-integer or negative entry."""
         try:
-            obj = json.loads(text)
+            record = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ValueError(f"certificate is not valid JSON: {exc}") from None
+        if not isinstance(record, dict) or record.get("kind") != "exotic_search":
+            raise ValueError("certificate must be an exotic_search record")
+        obj = record.get("result")
+        if not isinstance(obj, dict) or obj.get("found") is not True:
+            raise ValueError("exotic_search record holds no certificate (result.found is not true)")
         fields = ("d", "initial", "depth_checked", "first_pure_row")
-        if not isinstance(obj, dict) or any(k not in obj for k in fields):
+        if any(k not in obj for k in fields):
             raise ValueError(f"certificate must be a JSON object with {', '.join(fields)}")
         d, initial, depth_checked, first_pure_row = (obj[k] for k in fields)
         scalars = [d, depth_checked, first_pure_row]
@@ -117,17 +109,21 @@ def verify_certificate(cert: ExoticCertificate) -> bool:
 
 def lift_search(
     seed_row: Sequence[int],
-    constraint: LiftConstraint,
+    cap: int,
+    width: int,
     budget: int,
     rng: random.Random,
 ) -> ExoticCertificate | None:
-    """DFS upward from a {0,d}-valued seed row, one preimage level at a time,
-    until the row reaches width_goal or `budget` nodes have been expanded.
+    """DFS upward from a {0,d}-valued seed row, one preimage level at a time
+    with entries in [0, cap], until the row reaches `width` or `budget` nodes
+    have been expanded.
 
     Child order is shuffled by `rng`; results are deterministic for a fixed
     seed.  The DFS keeps one explicit stack of pending rows, so deep lifts
     need no recursion.  Returns None when the budget is exhausted.
     """
+    if min(cap, width) < 1:
+        raise ValueError("cap and width must be >= 1")
     if budget < 0:
         raise ValueError("budget must be >= 0")
     seed = validate_row(seed_row)
@@ -137,16 +133,16 @@ def lift_search(
 
     nodes = 0
     stack = [seed]
-    # The first row that reaches width_goal ends the search; every other row
+    # The first row that reaches `width` ends the search; every other row
     # is expanded while the budget lasts, its children pushed so that the
     # first shuffled child is popped next.
     while stack:
         top = stack.pop()
-        if len(top) >= constraint.width_goal:
+        if len(top) >= width:
             break
         if nodes < budget:
             nodes += 1
-            level = list(preimages(top, constraint.alphabet_max))
+            level = list(preimages(top, cap))
             rng.shuffle(level)
             stack.extend(reversed(level))
     else:

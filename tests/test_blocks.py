@@ -1,4 +1,5 @@
 import random
+import re
 import tracemalloc
 from itertools import product
 
@@ -8,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from gilbreath.blocks import (
-    BlockSpec,
+    DichotomyVerdict,
     check_block_destruction,
     check_inverse_iterates,
     detect_event_cascade,
@@ -33,17 +34,17 @@ def brute_longest_block(row, allowed, witness=None):
 
 
 def test_longest_block_examples():
-    rep = longest_block([1, 0, 2, 2, 2], BlockSpec(frozenset({0, 2})))
+    rep = longest_block([1, 0, 2, 2, 2], {0, 2})
     assert (rep.max_length, rep.start_index) == (4, 2)
-    rep = longest_block([1, 2, 2, 4, 2, 4], BlockSpec(frozenset({0, 4}), require_witness=4))
+    rep = longest_block([1, 2, 2, 4, 2, 4], {0, 4}, 4)
     assert rep.max_length == 1 and rep.witness_present
-    rep = longest_block([1, 2, 3], BlockSpec(frozenset({7})))
+    rep = longest_block([1, 2, 3], {7})
     assert rep.max_length == 0 and rep.start_index == 0
 
 
 def test_blockspec_rejects_empty():
-    with pytest.raises(ValueError):
-        BlockSpec(frozenset())
+    with pytest.raises(ValueError, match="allowed set must be non-empty"):
+        longest_block([1, 2, 3], set())
 
 
 @given(
@@ -52,7 +53,7 @@ def test_blockspec_rejects_empty():
     st.one_of(st.none(), st.integers(0, 4)),
 )
 def test_longest_block_matches_bruteforce(row, allowed, witness):
-    rep = longest_block(row, BlockSpec(frozenset(allowed), require_witness=witness))
+    rep = longest_block(row, allowed, witness)
     expect_len, expect_start = brute_longest_block(row, allowed, witness)
     assert (rep.max_length, rep.start_index) == (expect_len, expect_start)
 
@@ -62,7 +63,7 @@ def test_longest_block_bruteforce_seeded_sweep():
     for _ in range(1000):
         row = rng.integers(0, 6, size=rng.integers(1, 40)).tolist()
         allowed = set(rng.choice(6, size=rng.integers(1, 4), replace=False).tolist())
-        rep = longest_block(row, BlockSpec(frozenset(allowed)))
+        rep = longest_block(row, allowed)
         assert (rep.max_length, rep.start_index) == brute_longest_block(row, allowed)
 
 
@@ -110,11 +111,10 @@ def test_block_decay_is_monotone():
         d = max(row)
         if d == 0:
             continue
-        spec = BlockSpec(frozenset({0, d}), require_witness=d)
-        prev = longest_block(row, spec).max_length
+        prev = longest_block(row, {0, d}, d).max_length
         while len(row) > 1 and max(row) == d and prev > 0:
             row = diff_step(row)
-            cur = longest_block(row, spec).max_length
+            cur = longest_block(row, {0, d}, d).max_length
             if max(row) == d:
                 assert cur < prev
             prev = cur
@@ -205,3 +205,24 @@ def test_event_cascade_holds_one_row_at_a_time():
     assert [e.iteration for e in reports] == [0, 16, 128, 1024, 8192]
     assert reports[-1].status == "insufficient_history"
     assert peak < 2**20
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: check_block_destruction([3]), "row must have length >= 2"),
+    (lambda: check_inverse_iterates([[0, 2]], 0, 0, 1), "d must be >= 1"),
+    (lambda: check_inverse_iterates([[0, 2]], 1, 2, 1), "rows must run from row 0 through row i"),
+    (lambda: check_inverse_iterates([[0, 2]], -1, 2, 1), "rows must run from row 0 through row i"),
+    (lambda: detect_event_cascade([1, 2, 3], 2, 1),
+     "alphabet size must be >= 3 for a non-empty cascade"),
+    (lambda: detect_event_cascade([1, 2, 3], 3, 0), "scale R must be >= 1"),
+], ids=["destruction-short-row", "dichotomy-d", "dichotomy-i-past-rows", "dichotomy-negative-i",
+        "cascade-C", "cascade-R"])
+def test_bad_arguments_name_the_input(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
+
+
+def test_dichotomy_falsified_on_rows_that_are_not_a_triangle():
+    # [2] is not the difference row of [0, 1], so neither branch can hold.
+    verdict = check_inverse_iterates([[0, 1], [2]], i=1, d=2, L=1)
+    assert verdict == DichotomyVerdict(False, None, None, None, None)

@@ -173,7 +173,7 @@ def test_blocks_events_builds_only_the_rows_it_reads(capsys, monkeypatch, events
     def status(j, i):
         if i >= len(rows):
             return "insufficient_history"
-        block = blocks.longest_block(rows[i], blocks.BlockSpec(frozenset({0, C - j})))
+        block = blocks.longest_block(rows[i], {0, C - j})
         return "fired" if block.max_length >= R**j else "absent"
 
     expect = [status(j, i) for j, i in enumerate(schedule, 1)]
@@ -289,6 +289,38 @@ def test_bootstrap_graph_file_bad_successor_names_the_vertex(capsys, tmp_path):
 def test_nothing_to_do_exits_1(capsys, argv, message):
     code, _, err = run(capsys, *argv)
     assert code == 1 and message in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("bootstrap", "--cycle", "200", "--length", "10", "--targets", "0,2", "--red-fraction", "0.9"),
+     "error: --targets needs --debruijn"),
+    (("bootstrap", "--cycle", "200", "--length", "10", "--red-fraction", "0.9"),
+     "error: --red-fraction needs --random"),
+    (("blocks", "--values", "1,2", "--destruction", "--witness", "2"),
+     "error: --witness needs --allowed"),
+    (("triangle", "--values", "1,2", "--d", "2"), "error: --d needs --stop zero-d"),
+    (("exotic", "--verify", "c.jsonl", "--cap", "6"), "error: --verify takes no --cap or --width"),
+    (("exotic", "--verify", "c.jsonl", "--width", "16"),
+     "error: --verify takes no --cap or --width"),
+    (("exotic", "--seed-row", "0,3", "--cap", "3"),
+     "error: --seed-row needs --cap and --width"),
+    (("exotic", "--verify", "c.jsonl", "--seed-row", "0,3"),
+     "argument --seed-row: not allowed with argument --verify"),
+    (("exotic", "--cap", "3", "--width", "4"),
+     "error: one of the arguments --seed-row --verify is required"),
+], ids=["targets-without-debruijn", "red-fraction-without-random", "witness-without-allowed",
+        "d-without-zero-d", "verify-with-cap", "verify-with-width", "search-without-width",
+        "verify-and-seed-row", "neither-verify-nor-seed-row"])
+def test_option_the_run_does_not_read_exits_1(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and not out and message in err
+
+
+def test_experiment_without_kind_names_the_kinds(capsys):
+    code, _, err = run(capsys, "experiment")
+    assert code == 1
+    assert ("the following arguments are required: "
+            "{collapse,increasing-alphabet,leading-term,ultimate-zero}") in err
 
 
 def test_triangle_stop_zero_d(capsys):
@@ -516,26 +548,44 @@ def test_exotic_search_and_verify(capsys, tmp_path):
                        "--cap", "6", "--width", "16", "--budget", "100000",
                        "--out", str(out_file))
     assert code == 0 and "found width-16" in out
-    record = json.loads(out_file.read_text().splitlines()[0])
-    cert_path = tmp_path / "cert.json"
-    cert_path.write_text(json.dumps(record["result"]))
-    code, out, _ = run(capsys, "exotic", "--verify", str(cert_path))
+    code, out, _ = run(capsys, "exotic", "--verify", str(out_file))
     assert code == 0 and "certificate valid" in out
 
 
+def _exotic_record(result):
+    return json.dumps({"kind": "exotic_search", "params": {}, "result": result})
+
+
 @pytest.mark.parametrize("text, message", [
-    (json.dumps({}), "certificate must be a JSON object"),
-    (json.dumps({"d": 3, "initial": [0, "x"], "depth_checked": 1, "first_pure_row": 0}),
+    (_exotic_record({"found": True}), "certificate must be a JSON object"),
+    (_exotic_record({"found": True, "d": 3, "initial": [0, "x"], "depth_checked": 1,
+                     "first_pure_row": 0}),
      "certificate entries must be integers"),
     ("", "certificate is not valid JSON: Expecting value"),
     ("{", "certificate is not valid JSON"),
     ("d = 3", "certificate is not valid JSON"),
-], ids=["missing-fields", "non-integer-entry", "empty", "truncated", "not-json"])
+    (_exotic_record({"found": False}),
+     "exotic_search record holds no certificate (result.found is not true)"),
+    (json.dumps({"d": 3, "initial": [0, 3], "depth_checked": 1, "first_pure_row": 0}),
+     "certificate must be an exotic_search record"),
+    (json.dumps({"kind": "exotic_verify", "result": {"valid": True}}),
+     "certificate must be an exotic_search record"),
+], ids=["missing-fields", "non-integer-entry", "empty", "truncated", "not-json", "not-found",
+        "bare-certificate", "other-kind"])
 def test_exotic_verify_malformed_certificate_exits_1(capsys, tmp_path, text, message):
     path = tmp_path / "cert.json"
     path.write_text(text)
     code, _, err = run(capsys, "exotic", "--verify", str(path))
     assert code == 1 and f"error: {message}" in err
+
+
+def test_exotic_verify_rejects_csv_out(capsys, tmp_path):
+    out_file = tmp_path / "cert.csv"
+    code, _, _ = run(capsys, "exotic", "--seed-row", "0,0,0,3,3,0,0,0,0,0,0,0", "--cap", "6",
+                     "--width", "16", "--format", "csv", "--out", str(out_file))
+    assert code == 0
+    code, _, err = run(capsys, "exotic", "--verify", str(out_file))
+    assert code == 1 and "error: certificate is not valid JSON" in err
 
 
 def test_exotic_long_seed_row_needs_no_recursion(capsys):

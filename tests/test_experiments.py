@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 from collections import Counter, deque
 from dataclasses import replace
@@ -8,6 +9,7 @@ import pytest
 
 from gilbreath import experiments
 from gilbreath.experiments import (
+    EXHAUSTIVE_CAP,
     ExperimentConfig,
     Schedule,
     derive_trial_stream,
@@ -392,3 +394,35 @@ def test_collapse_monotone_closure():
         assert set(np.unique(row).tolist()) <= {0, 1}
         if row.size == 1:
             break
+
+
+VALID = ExperimentConfig(kind="uniform_collapse", M=5, trials=1, seed=0, C=3)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: Schedule(((1, 2), (1, 3))), "schedule breakpoints must be strictly increasing"),
+    (lambda: Schedule(((1, 2), (5, 3), (3, 4))),
+     "schedule breakpoints must be strictly increasing"),
+    (lambda: Schedule.constant(3).values(np.array([0, 1])), "schedule queried below n = 1"),
+    (lambda: replace(VALID, M=0), "M (the depth, for ultimate-zero) must be >= 1"),
+    (lambda: replace(VALID, trials=0), "trials must be >= 1"),
+    (lambda: replace(VALID, seed=-1), "seed must be a non-negative integer"),
+    (lambda: replace(VALID, trial_offset=-1), "trial_offset must be >= 0"),
+    (lambda: replace(VALID, T=-1), "iteration budget must be >= 0"),
+    (lambda: replace(VALID, weights=(0.5, 0.5)), "weights must give one entry per symbol"),
+    (lambda: replace(VALID, weights=(1.5, -0.25, -0.25)), "weights must be positive"),
+    (lambda: derive_trial_stream(-1, 0), "seed and block must be non-negative"),
+    (lambda: derive_trial_stream(0, -1), "seed and block must be non-negative"),
+    (lambda: wilson_interval(0, 0), "need at least one observation"),
+    (lambda: sample_uniform(1, 0, 3, derive_trial_stream(0, 0)), "M must be >= 1"),
+    (lambda: sample_gap_sequence(1, 0, Schedule.constant(3), derive_trial_stream(0, 0)),
+     "M must be >= 1"),
+    (lambda: exhaustive_ultimate_zero(3, 13),
+     f"enumeration of 3**13 rows exceeds cap {EXHAUSTIVE_CAP}"),
+], ids=["schedule-repeated-start", "schedule-decreasing-start", "schedule-below-1", "config-M",
+        "config-trials", "config-seed", "config-trial-offset", "config-T", "weights-length",
+        "weights-non-positive", "stream-seed", "stream-block", "wilson-n", "uniform-M",
+        "gap-sequence-M", "exhaustive-cap"])
+def test_bad_arguments_name_the_input(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()

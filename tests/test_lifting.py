@@ -1,14 +1,16 @@
 import json
 import random
+import re
+from dataclasses import asdict
 from itertools import product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gilbreath import lifting
 from gilbreath.lifting import (
     ExoticCertificate,
-    LiftConstraint,
     lift_search,
     preimages,
     verify_certificate,
@@ -55,35 +57,30 @@ def test_preimage_count_of_zero_row_is_alphabet_size():
 
 
 def test_lift_search_reaches_exotic_width():
-    cert = lift_search(EXOTIC_SEED, LiftConstraint(alphabet_max=6, width_goal=20),
-                       budget=200_000, rng=random.Random(0))
+    cert = lift_search(EXOTIC_SEED, cap=6, width=20, budget=200_000, rng=random.Random(0))
     assert cert is not None
     assert len(cert.initial) == 20 and cert.d == 3
     assert verify_certificate(cert)
 
 
 def test_lift_search_constant_rows_from_zero_seed():
-    cert = lift_search([0, 0, 0], LiftConstraint(alphabet_max=4, width_goal=6),
-                       budget=1000, rng=random.Random(1))
+    cert = lift_search([0, 0, 0], cap=4, width=6, budget=1000, rng=random.Random(1))
     assert cert is not None
     assert verify_certificate(cert)
 
 
 def test_lift_search_impossible_cap():
-    cert = lift_search([3], LiftConstraint(alphabet_max=2, width_goal=3),
-                       budget=1000, rng=random.Random(2))
+    cert = lift_search([3], cap=2, width=3, budget=1000, rng=random.Random(2))
     assert cert is None
 
 
 def test_lift_search_rejects_mixed_seed():
     with pytest.raises(ValueError, match="seed row"):
-        lift_search([0, 3, 1], LiftConstraint(alphabet_max=6, width_goal=5),
-                    budget=10, rng=random.Random(0))
+        lift_search([0, 3, 1], cap=6, width=5, budget=10, rng=random.Random(0))
 
 
 def test_lift_search_deterministic():
-    kw = dict(constraint=LiftConstraint(alphabet_max=6, width_goal=16),
-              budget=50_000)
+    kw = dict(cap=6, width=16, budget=50_000)
     a = lift_search(EXOTIC_SEED, rng=random.Random(7), **kw)
     b = lift_search(EXOTIC_SEED, rng=random.Random(7), **kw)
     assert a == b
@@ -125,7 +122,8 @@ def test_verify_certificate_past_int64():
 def test_certificate_json_round_trip():
     cert = ExoticCertificate(d=3, initial=tuple(EXOTIC_TOP), depth_checked=19,
                              first_pure_row=8)
-    assert ExoticCertificate.from_json(cert.to_json()) == cert
+    record = {"kind": "exotic_search", "result": {"found": True, **asdict(cert)}}
+    assert ExoticCertificate.from_record(json.dumps(record)) == cert
 
 
 @pytest.mark.parametrize("obj, message", [
@@ -134,14 +132,37 @@ def test_certificate_json_round_trip():
     ({"d": 3, "initial": [0, 1.5], "depth_checked": 1, "first_pure_row": 0}, "integers"),
     ({"d": 3, "initial": [0, -3], "depth_checked": 1, "first_pure_row": 0}, "non-negative"),
     ({"d": -3, "initial": [0, 3], "depth_checked": 1, "first_pure_row": 0}, "non-negative"),
-    ([0, 3], "JSON object with d"),
+    ({"d": 3, "depth_checked": 1, "first_pure_row": 0}, "JSON object with d"),
 ])
 def test_certificate_from_json_rejects_malformed(obj, message):
+    record = {"kind": "exotic_search", "result": {"found": True, **obj}}
     with pytest.raises(ValueError, match=message):
-        ExoticCertificate.from_json(json.dumps(obj))
+        ExoticCertificate.from_record(json.dumps(record))
 
 
 def test_preimages_of_a_long_row():
     # One stack frame per entry would overflow the interpreter stack here.
     row = [0] * 3000 + [3]
     assert [p[0] for p in preimages(row, 3)] == [0, 3]
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: list(preimages([0], -1)), "cap must be >= 0"),
+    (lambda: lift_search([0, 3], 0, 4, 10, random.Random(0)), "cap and width must be >= 1"),
+    (lambda: lift_search([0, 3], 3, 0, 10, random.Random(0)), "cap and width must be >= 1"),
+    (lambda: ExoticCertificate.from_record("[0, 3]"),
+     "certificate must be an exotic_search record"),
+    (lambda: ExoticCertificate.from_record(json.dumps({"kind": "exotic_search", "result": [0]})),
+     "exotic_search record holds no certificate (result.found is not true)"),
+], ids=["preimages-cap", "lift-cap", "lift-width", "record-not-object",
+        "record-result-not-object"])
+def test_bad_arguments_name_the_input(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
+
+
+@pytest.mark.parametrize("first_pure", [None, 99])
+def test_lift_search_rejects_a_row_its_own_check_fails(monkeypatch, first_pure):
+    # The search re-derives the pure depth instead of trusting the lift.
+    monkeypatch.setattr(lifting, "_first_pure_row", lambda initial, d: first_pure)
+    assert lift_search(EXOTIC_SEED, 6, 14, 50_000, random.Random(0)) is None

@@ -116,3 +116,8 @@ def test_prob_even_validates():
         prob_even(1, 3)
     with pytest.raises(ValueError):
         prob_even(3, 0)
+
+
+def test_parity_of_empty_row_names_the_input():
+    with pytest.raises(ValueError, match="row must have length >= 1"):
+        parity_of_ultimate([])

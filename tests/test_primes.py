@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 import struct
 from itertools import islice, product
 
@@ -396,3 +397,27 @@ def test_bad_checkpoint_options_exit_1(tmp_path, monkeypatch, capsys, argv, mess
     assert main(["primes", "--limit", "1000", *argv]) == 1
     assert f"error: {message}" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+def _junk_file(tmp_path):
+    path = tmp_path / "ck"
+    path.write_bytes(b"not a checkpoint")
+    return str(path)
+
+
+def _short_tail_file(tmp_path):
+    # Correctly hashed, but 3 tail gaps where min(D, gaps_seen) = 10 are due.
+    path = str(tmp_path / "ck")
+    primes._write_checkpoint(path, primes.Checkpoint(100, 10, 97, 24, 0, np.ones(3, np.uint16)))
+    return path
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda tmp: load_checkpoint(_junk_file(tmp)), "not a checkpoint file"),
+    (lambda tmp: load_checkpoint(_short_tail_file(tmp)), "checkpoint length mismatch"),
+    (lambda tmp: verify_gilbreath(2), "limit must be >= 3"),
+    (lambda tmp: verify_gilbreath(100, resume=True), "resume requires a checkpoint path"),
+], ids=["not-a-checkpoint", "tail-length", "limit", "resume-without-path"])
+def test_bad_arguments_name_the_input(tmp_path, call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call(tmp_path)

@@ -4,11 +4,15 @@ and every name the benchmark imports from the package still exists."""
 import ast
 import importlib
 import os
+import runpy
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+
+from gilbreath import walks
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -38,3 +42,16 @@ def test_benchmark_imports_resolve():
     missing = [f"{module}.{name}" for module, name in names
                if not hasattr(importlib.import_module(module), name)]
     assert not missing
+
+
+def test_coloring_probe_finding_exits_2(monkeypatch, capsys):
+    # P(L') = 1/100 under c^2/10 = 1/40: a falsified bootstrap conclusion.
+    below = walks.BootstrapVerdict(True, False, Fraction(1, 2), Fraction(1, 100), 3,
+                                   Fraction(1, 40))
+    monkeypatch.setattr(walks, "check_bootstrap", lambda g, red, L, c=None: below)
+    monkeypatch.setattr(sys, "argv", ["debruijn_coloring_probe.py", "--C", "3", "--k", "2",
+                                      "--max-length", "3", "--random-colorings", "1"])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_path(str(ROOT / "scripts" / "debruijn_coloring_probe.py"), run_name="__main__")
+    assert exc.value.code == 2
+    assert "FINDING: bootstrap conclusion violated" in capsys.readouterr().out

@@ -1,3 +1,4 @@
+import re
 from itertools import product
 
 import numpy as np
@@ -238,3 +239,12 @@ def test_step_array_keeps_column_major_order(dtype, high):
         batch = step_array(batch)
         assert batch.flags.f_contiguous and batch.shape[0] == 500
     assert enumerate_rows(3, 5).flags.f_contiguous
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: stabilization_predicate(np.array([], dtype=np.int64)), "row must have length >= 1"),
+    (lambda: iterate_until([1, 2], never, -1), "max_iters must be >= 0"),
+], ids=["predicate-empty-row", "max-iters"])
+def test_bad_arguments_name_the_input(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 from itertools import combinations, islice, product
 
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from gilbreath.walks import (
     RegularDigraph,
+    WalkProbability,
     _red_walk_totals,
     all_red_probability,
     check_bootstrap,
@@ -336,3 +338,9 @@ def test_parse_rejects_malformed():
 def test_parse_names_the_bad_line(text, message):
     with pytest.raises(ValueError, match=message):
         parse_walk_instance(text)
+
+
+@pytest.mark.parametrize("value", [Fraction(3, 2), Fraction(-1, 2)])
+def test_walk_probability_outside_unit_interval(value):
+    with pytest.raises(ValueError, match=re.escape("probability out of [0, 1]")):
+        WalkProbability(value)
