@@ -22,6 +22,7 @@ import tempfile
 import time
 from dataclasses import asdict
 from fractions import Fraction
+from json.encoder import c_make_encoder, encode_basestring_ascii
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -117,10 +118,15 @@ def _require(condition: bool, message: str) -> None:
 # A handler's output: (record kind, record params, result dicts).
 Group = tuple[str, dict, Iterable[dict]]
 
-# One encoder for every record: json.dumps with keyword arguments builds a new one per call.
-_ENC = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+# One encoder for every record.  JSONEncoder.encode builds a new C encoder on
+# every call, so the writer builds one here from _ENC's settings, as iterencode
+# does, and calls it directly.  Each record is a fresh tree, so no cycle check.
+_ENC = json.JSONEncoder(sort_keys=True, separators=(",", ":"), check_circular=False)
+_encode = c_make_encoder(None, _ENC.default, encode_basestring_ascii, _ENC.indent,
+                         _ENC.key_separator, _ENC.item_separator, _ENC.sort_keys,
+                         _ENC.skipkeys, _ENC.allow_nan)
 
-# A record on its way to the writer: (encoded head, encoded tail, result dict).
+# A record on its way to the writer: (line up to the result, line after it, result dict).
 Record = tuple[str, str, dict]
 
 
@@ -132,8 +138,9 @@ def _stamp(command: str, seed: int, groups: list[Group]) -> Iterator[Record]:
     between them (see `_write_jsonl`).
     """
     for kind, params, results in groups:
-        head = _ENC.encode({"kind": kind, "params": params})[:-1]
-        tail = _ENC.encode({"run_id": _run_id(command, params, seed), "seed": seed})[1:]
+        head = "".join(_encode({"kind": kind, "params": params}, 0))[:-1] + ',"result":'
+        stamp = {"run_id": _run_id(command, params, seed), "seed": seed}
+        tail = "," + "".join(_encode(stamp, 0))[1:] + "\n"
         for result in results:
             yield head, tail, result
 
@@ -143,7 +150,7 @@ def _write_jsonl(records: Iterable[Record], fh) -> set[str]:
     keys: set[str] = set()
     for head, tail, result in records:
         keys.update(result)
-        fh.write(head + ',"result":' + _ENC.encode(result) + "," + tail + "\n")
+        fh.write(head + "".join(_encode(result, 0)) + tail)
     return keys
 
 
@@ -548,6 +555,11 @@ def main(argv: list[str] | None = None) -> int:
     started = time.time()
     try:
         args.seed = _resolve_seed(args.seed)
+        # Fail before the handler: a primes run can take minutes before it writes.
+        if args.out is not None:
+            target = os.path.realpath(args.out)
+            _require(os.path.isdir(os.path.dirname(target)) and not os.path.isdir(target),
+                     f"--out {args.out}: not a file in an existing directory")
         groups = _HANDLERS[args.command](args)
         _write_records(_stamp(args.command, args.seed, groups), args.format, args.out)
     except Finding as finding:

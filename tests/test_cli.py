@@ -6,6 +6,7 @@ import shlex
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from gilbreath import blocks, cli, experiments, triangle, walks
@@ -529,6 +530,34 @@ def test_out_to_non_regular_file(capsys, fmt):
                        "--trials", "5", "--format", fmt, "--out", os.devnull)
     assert code == 0 and out.startswith("aggregate: ")
     assert not os.path.isfile(os.devnull)
+
+
+@pytest.mark.parametrize("name", ["missing/p.jsonl", "."])
+def test_out_outside_an_existing_directory_exits_1_before_the_run(capsys, tmp_path, name):
+    out_file = os.path.join(tmp_path, name)
+    code, out, err = run(capsys, "primes", "--limit", "1000", "--out", out_file)
+    assert code == 1
+    assert "verified" not in out
+    assert f"error: --out {out_file}: " in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("value", [
+    2**70, -2**70, -0.0, 0.1, 1e300, math.nan, math.inf, -math.inf,
+    "café ☃", "\x00\n\t\"\\", None, True, False, [], {},
+    {"b": {"z": 1, "a": [1.5, None]}, "a": "x", "c": (1, "2")}, (3, [4], {"k": False}),
+])
+def test_record_encoder_matches_json_dumps(value):
+    expected = json.dumps(value, sort_keys=True, separators=(",", ":"))
+    assert "".join(cli._encode(value, 0)) == expected
+
+
+@pytest.mark.parametrize("value", [np.int64(1), Fraction(1, 3), {1, 2}])
+def test_record_encoder_rejects_what_json_dumps_rejects(value):
+    with pytest.raises(TypeError):
+        json.dumps(value)
+    with pytest.raises(TypeError):
+        cli._encode({"result": value}, 0)
 
 
 def test_experiment_missing_args(capsys):

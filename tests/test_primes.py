@@ -365,16 +365,16 @@ def test_checkpoint_rejects_wrong_limit(tmp_path, monkeypatch):
 
 def test_checkpoint_detects_corruption(tmp_path, monkeypatch):
     use_segment_size(monkeypatch, 1000)
-    path = str(tmp_path / "ck.bin")
-    verify_gilbreath(50_000, checkpoint_path=path, checkpoint_every=5)
-    good = open(path, "rb").read()
+    path = tmp_path / "ck.bin"
+    verify_gilbreath(50_000, checkpoint_path=str(path), checkpoint_every=5)
+    good = path.read_bytes()
     # The last gap, then the stored stabilization row in the header.
     for offset in (len(good) - 1, struct.calcsize(primes.CHECKPOINT_HEADER) - 1):
         blob = bytearray(good)
         blob[offset] ^= 0xFF
-        open(path, "wb").write(bytes(blob))
+        path.write_bytes(blob)
         with pytest.raises(ValueError, match="integrity"):
-            load_checkpoint(path)
+            load_checkpoint(str(path))
 
 
 def test_version_1_checkpoint_exits_1(tmp_path, capsys):
