@@ -2,7 +2,7 @@
 
 Subcommands: triangle, parity, blocks, bootstrap, experiment, primes, exotic.
 Every run is seeded (default 0, so unseeded runs reproduce; --seed random opts
-into entropy), writes deterministic JSONL/CSV records to --out, and emits a
+into entropy), writes deterministic JSONL records to --out, and emits a
 run manifest on stderr.  Exit codes: 0 success, 1 usage or input error, 2 a
 falsified invariant (dumped as a minimal reproducer).
 """
@@ -12,13 +12,11 @@ from __future__ import annotations
 import argparse
 import collections
 import contextlib
-import csv
 import hashlib
 import json
 import os
 import secrets
 import sys
-import tempfile
 import time
 from dataclasses import asdict
 from fractions import Fraction
@@ -126,81 +124,45 @@ _encode = c_make_encoder(None, _ENC.default, encode_basestring_ascii, _ENC.inden
                          _ENC.key_separator, _ENC.item_separator, _ENC.sort_keys,
                          _ENC.skipkeys, _ENC.allow_nan)
 
-# A record on its way to the writer: (line up to the result, line after it, result dict).
-Record = tuple[str, str, dict]
 
-
-def _stamp(command: str, seed: int, groups: list[Group]) -> Iterator[Record]:
-    """The records of a handler's groups; a group's records share one run_id.
+def _stamp(command: str, seed: int, groups: list[Group]) -> Iterator[str]:
+    """The JSON lines of a handler's groups; a group's records share one run_id.
 
     A record's keys sort as kind < params < result < run_id < seed, so each
     group's head and tail are encoded once and every result is spliced in
-    between them (see `_write_jsonl`).
+    between them.
     """
     for kind, params, results in groups:
         head = "".join(_encode({"kind": kind, "params": params}, 0))[:-1] + ',"result":'
         stamp = {"run_id": _run_id(command, params, seed), "seed": seed}
         tail = "," + "".join(_encode(stamp, 0))[1:] + "\n"
         for result in results:
-            yield head, tail, result
+            yield head + "".join(_encode(result, 0)) + tail
 
 
-def _write_jsonl(records: Iterable[Record], fh) -> set[str]:
-    """Write one JSON line per record; return the union of the result keys."""
-    keys: set[str] = set()
-    for head, tail, result in records:
-        keys.update(result)
-        fh.write(head + "".join(_encode(result, 0)) + tail)
-    return keys
-
-
-def _write_csv(records: Iterable[Record], fh) -> None:
-    # Fixed leading columns, then the union of result keys in sorted order;
-    # nested values are JSON-encoded.  The header needs every key, so the
-    # records are spooled as JSONL to an anonymous file, not held in memory.
-    with tempfile.TemporaryFile("w+") as spool:
-        keys = sorted(_write_jsonl(records, spool))
-        spool.seek(0)
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["run_id", "kind", "seed", "params"] + keys)
-        for r in map(json.loads, spool):
-            row = [r["run_id"], r["kind"], r["seed"], json.dumps(r["params"], sort_keys=True)]
-            for k in keys:
-                v = r["result"].get(k)
-                row.append(json.dumps(v, sort_keys=True) if isinstance(v, (dict, list)) else v)
-            writer.writerow(row)
-
-
-def _write_records(records: Iterable[Record], fmt: str, out: str | None) -> None:
-    """Drain the records into `out`, if given.  A regular file appears only once
-    every record is written, by a rename from a temporary file beside it; an
-    existing non-regular file, such as /dev/null, is written directly."""
-    write = _write_jsonl if fmt == "jsonl" else _write_csv
-    if out is None:
-        collections.deque(records, maxlen=0)
-    elif os.path.exists(out) and not os.path.isfile(out):
+def _write_records(lines: Iterable[str], out: str) -> None:
+    """Write the lines to `out`.  A regular file appears only once every line is
+    written, by a rename from a temporary file beside it; an existing
+    non-regular file, such as /dev/null, is written directly."""
+    if os.path.exists(out) and not os.path.isfile(out):
         with open(out, "w") as fh:
-            write(records, fh)
-    else:
-        target = os.path.realpath(out)
-        tmp = f"{target}.{os.getpid()}.tmp"
-        try:
-            with open(tmp, "w") as fh:
-                write(records, fh)
-            os.replace(tmp, target)
-        finally:
-            with contextlib.suppress(FileNotFoundError):
-                os.remove(tmp)
-
-
-# Options that say where and how records are written, not what they are.
-_OUTPUT_ONLY = ("out", "format")
+            fh.writelines(lines)
+        return
+    target = os.path.realpath(out)
+    tmp = f"{target}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w") as fh:
+            fh.writelines(lines)
+        os.replace(tmp, target)
+    finally:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
 
 
 def _manifest(subcommand: str, params: dict, seed: int, started: float) -> None:
+    # --out says where records go, not what they are, so the run_id ignores it.
     obj = {
-        "run_id": _run_id(subcommand, {k: v for k, v in params.items() if k not in _OUTPUT_ONLY},
-                          seed),
+        "run_id": _run_id(subcommand, {k: v for k, v in params.items() if k != "out"}, seed),
         "subcommand": subcommand,
         "config": params,
         "seed": seed,
@@ -293,7 +255,8 @@ def _cmd_blocks(args) -> list[Group]:
     return groups
 
 
-def _build_graph(args, rng_seed: int) -> tuple[walks.RegularDigraph, np.ndarray, dict]:
+def _build_graph(args, rng_seed: int) -> tuple[walks.RegularDigraph, np.ndarray, dict, str]:
+    """The graph, its red mask, its record params, and a stdout line about it ('' if none)."""
     import random as _random
 
     _require(args.targets is None or args.debruijn is not None, "--targets needs --debruijn")
@@ -304,13 +267,13 @@ def _build_graph(args, rng_seed: int) -> tuple[walks.RegularDigraph, np.ndarray,
             g, red = walks.parse_walk_instance(fh.read())
         if red is None:
             raise ValueError("graph file must end with a coloring line of 'r'/'b'")
-        return g, red, {"graph": args.graph}
+        return g, red, {"graph": args.graph}, ""
     if args.cycle is not None:
         n = args.cycle
         g, red, L, c, long_prob = walks.remark_counterexample(n)
-        print(f"cycle n={n}: red first {n // 10}, L={L}, c={c}, "
-              f"all-red probability at 5L: {long_prob.value}")
-        return g, red, {"cycle": n}
+        note = (f"cycle n={n}: red first {n // 10}, L={L}, c={c}, "
+                f"all-red probability at 5L: {long_prob.value}")
+        return g, red, {"cycle": n}, note
     if args.debruijn is not None:
         C, k = args.debruijn
         targets = [0] if args.targets is None else args.targets
@@ -318,14 +281,14 @@ def _build_graph(args, rng_seed: int) -> tuple[walks.RegularDigraph, np.ndarray,
         _require(top < C, f"--targets: {top} >= C = {C} is never an ultimate iterate")
         g = walks.debruijn_graph(C, k)
         red = walks.ultimate_iterate_coloring(C, k, targets)
-        return g, red, {"debruijn": [C, k], "targets": targets}
+        return g, red, {"debruijn": [C, k], "targets": targets}, ""
     n, d = args.random_graph
     red_fraction = 0.5 if args.red_fraction is None else args.red_fraction
     _require(0 <= red_fraction <= 1, f"--red-fraction must lie in [0, 1], not {red_fraction}")
     rng = _random.Random(rng_seed)
     g = walks.random_regular_digraph(n, d, rng)
     red = walks.random_coloring(n, rng, red_fraction)
-    return g, red, {"random": [n, d], "red_fraction": red_fraction}
+    return g, red, {"random": [n, d], "red_fraction": red_fraction}, ""
 
 
 def _exact_fractions(items: list[tuple[str, object]]) -> dict:
@@ -334,10 +297,12 @@ def _exact_fractions(items: list[tuple[str, object]]) -> dict:
 
 
 def _cmd_bootstrap(args) -> list[Group]:
-    g, red, source = _build_graph(args, args.seed)
+    g, red, source, note = _build_graph(args, args.seed)
     L = args.length
     start = time.perf_counter()
     verdict = walks.check_bootstrap(g, red, L, args.c)
+    if note:  # only once check_bootstrap has accepted --c: an input error prints nothing
+        print(note)
     stats = {"dp_steps": (verdict.long_length or L) - 1,
              "seconds": time.perf_counter() - start}
     print(f"stats: {json.dumps(stats, sort_keys=True)}", file=sys.stderr)
@@ -432,8 +397,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="gilbreath",
         description="Absolute-difference triangles: verification tools and experiments.",
-        epilog="CSV output columns: run_id, kind, seed, params (JSON), then the "
-               "sorted result fields of the emitted records.",
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -441,8 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--seed", type=seed_or_random, default="0",
                        help="integer seed, or 'random' for entropy (default 0)")
-        p.add_argument("--out", help="write records to this file")
-        p.add_argument("--format", choices=("jsonl", "csv"), default="jsonl")
+        p.add_argument("--out", help="write JSONL records to this file")
 
     p = sub.add_parser("triangle", help="print the difference triangle of a row")
     p.add_argument("--values", type=int_row, required=True, help="comma-separated row entries")
@@ -487,24 +449,23 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("experiment", help="seeded Monte Carlo runs, JSONL trials + aggregate")
     kinds = p.add_subparsers(required=True)
-    # No abbreviations: a kind without --f would read --f as --format.
-    k = kinds.add_parser("collapse", allow_abbrev=False)
+    k = kinds.add_parser("collapse")
     k.set_defaults(kind="uniform_collapse")
     k.add_argument("--M", type=int, required=True, help="sequence length")
     k.add_argument("--C", type=int, required=True, help="alphabet size")
     k.add_argument("--T", type=int, help="iteration budget (default M-1)")
     k.add_argument("--weights", type=float, nargs="+",
                    help="per-symbol weights for weighted collapse sampling")
-    k = kinds.add_parser("increasing-alphabet", allow_abbrev=False)
+    k = kinds.add_parser("increasing-alphabet")
     k.set_defaults(kind="increasing_alphabet")
     k.add_argument("--M", type=int, required=True, help="sequence length")
     k.add_argument("--f", required=True, help="alphabet schedule: constant 'k' or '1:k1,n2:k2,...'")
     k.add_argument("--T", type=int, help="iteration budget (default M-1)")
-    k = kinds.add_parser("leading-term", allow_abbrev=False)
+    k = kinds.add_parser("leading-term")
     k.set_defaults(kind="gap_leading_term")
     k.add_argument("--M", type=int, required=True, help="sequence length")
     k.add_argument("--f", required=True, help="alphabet schedule: constant 'k' or '1:k1,n2:k2,...'")
-    k = kinds.add_parser("ultimate-zero", allow_abbrev=False)
+    k = kinds.add_parser("ultimate-zero")
     k.set_defaults(kind="ultimate_zero")
     k.add_argument("--C", type=int, required=True, help="alphabet size")
     k.add_argument("--depth", dest="M", metavar="DEPTH", type=int, required=True, help="row length")
@@ -561,7 +522,11 @@ def main(argv: list[str] | None = None) -> int:
             _require(os.path.isdir(os.path.dirname(target)) and not os.path.isdir(target),
                      f"--out {args.out}: not a file in an existing directory")
         groups = _HANDLERS[args.command](args)
-        _write_records(_stamp(args.command, args.seed, groups), args.format, args.out)
+        if args.out is None:  # drain the results (an experiment prints at the end); encode none
+            for _, _, results in groups:
+                collections.deque(results, maxlen=0)
+        else:
+            _write_records(_stamp(args.command, args.seed, groups), args.out)
     except Finding as finding:
         print(f"FINDING: {finding}", file=sys.stderr)
         print(json.dumps({"finding": str(finding), "reproducer": finding.reproducer},

@@ -1,4 +1,3 @@
-import csv
 import json
 import math
 import os
@@ -72,10 +71,13 @@ def test_unknown_flag_exits_1(capsys):
     assert exc.value.code == 1
 
 
-def test_threads_option_is_gone(capsys):
-    code, _, err = run(capsys, "experiment", "collapse", "--M", "200", "--C", "3",
-                       "--trials", "8", "--threads", "8")
-    assert code == 1 and "unrecognized arguments: --threads 8" in err
+@pytest.mark.parametrize("option", [("--threads", "8"), ("--format", "csv")],
+                         ids=["--threads", "--format"])
+def test_removed_option_exits_1(capsys, option):
+    code, out, err = run(capsys, "experiment", "collapse", "--M", "200", "--C", "3",
+                         "--trials", "8", *option)
+    assert code == 1 and not out
+    assert f"unrecognized arguments: {' '.join(option)}" in err
 
 
 @pytest.mark.parametrize("argv, option", [
@@ -84,7 +86,7 @@ def test_threads_option_is_gone(capsys):
     (("ultimate-zero", "--C", "3", "--depth", "5"), ("--weights", "0.5", "0.5", "0.5")),
     (("increasing-alphabet", "--M", "10", "--f", "3"), ("--weights", "0.5", "0.5")),
     (("collapse", "--M", "10", "--C", "3"), ("--depth", "5")),
-    # --f is not read as an abbreviation of --format.
+    # --f belongs to the schedule kinds only.
     (("collapse", "--M", "10", "--C", "3"), ("--f", "3")),
 ], ids=["leading-term --T", "ultimate-zero --M", "ultimate-zero --weights",
         "increasing-alphabet --weights", "collapse --depth", "collapse --f"])
@@ -203,8 +205,8 @@ def test_bootstrap_bad_fraction_exits_1(capsys):
 @pytest.mark.parametrize("c", ["-1", "3/2"])
 def test_bootstrap_c_outside_unit_interval_exits_1(capsys, c):
     # A bad threshold is an input error, not a falsified conclusion.
-    code, _, err = run(capsys, "bootstrap", "--cycle", "200", "--length", "10", "--c", c)
-    assert code == 1
+    code, out, err = run(capsys, "bootstrap", "--cycle", "200", "--length", "10", "--c", c)
+    assert code == 1 and not out
     assert "error: c must lie in [0, 1]" in err and "FINDING" not in err
 
 
@@ -408,18 +410,28 @@ def test_experiment_collapse_record_count(capsys, tmp_path):
     assert all(r["seed"] == 42 for r in records)
 
 
-def test_experiment_jsonl_shape(capsys, tmp_path):
+@pytest.mark.parametrize("argv, trials", [
+    (("collapse", "--M", "50", "--C", "3"), 4),
+    (("ultimate-zero", "--C", "3", "--depth", "5"), 50),
+], ids=["collapse", "ultimate-zero"])
+def test_experiment_jsonl_shape(capsys, tmp_path, argv, trials):
     out_file = tmp_path / "run.jsonl"
-    code, _, _ = run(capsys, "experiment", "collapse", "--M", "50", "--C", "3",
-                     "--trials", "4", "--seed", "0", "--out", str(out_file))
+    code, _, _ = run(capsys, "experiment", *argv, "--trials", str(trials), "--seed", "0",
+                     "--out", str(out_file))
     assert code == 0
     objs = [json.loads(ln) for ln in out_file.read_text().splitlines()]
-    assert len(objs) == 5
-    assert [o["result"]["record"] for o in objs] == ["trial"] * 4 + ["aggregate"]
+    assert len(objs) == trials + 1
+    *rows, aggregate = [o["result"] for o in objs]
+    assert [r["record"] for r in rows] == ["trial"] * trials and aggregate["record"] == "aggregate"
+    assert [r["trial_index"] for r in rows] == list(range(trials))
     for o in objs:
         assert set(o) == {"run_id", "kind", "seed", "params", "result"}
     # One run_id per experiment run, from the same scheme as every subcommand.
     assert {o["run_id"] for o in objs} == {_run_id("experiment", objs[0]["params"], 0)}
+    if argv[0] == "ultimate-zero":
+        zeros = sum(r["ultimate_value"] == 0 for r in rows)
+        assert aggregate["estimate"] == zeros / trials
+        assert not any("estimate" in r for r in rows)
 
 
 def test_experiment_stats_on_stderr_only(capsys, tmp_path):
@@ -434,46 +446,6 @@ def test_experiment_stats_on_stderr_only(capsys, tmp_path):
     assert stats["trials"] == 7000 and stats["streams"] == 3
     assert stats["seconds"] > 0 and stats["trials_per_s"] == 7000 / stats["seconds"]
     assert "stats" not in out_file.read_text() and "seconds" not in out_file.read_text()
-
-
-def _csv_cell(value):
-    if isinstance(value, (dict, list)):
-        return json.dumps(value, sort_keys=True)
-    return "" if value is None else str(value)
-
-
-@pytest.mark.parametrize("argv", [
-    ("parity", "--depth", "4", "--prob-even", "2,3", "--depths", "1,4"),
-    ("experiment", "ultimate-zero", "--C", "3", "--depth", "5", "--trials", "30", "--seed", "2"),
-], ids=["parity", "experiment"])
-def test_csv_and_jsonl_carry_same_records(capsys, tmp_path, argv):
-    jsonl, csv_file = tmp_path / "r.jsonl", tmp_path / "r.csv"
-    assert run(capsys, *argv, "--out", str(jsonl))[0] == 0
-    assert run(capsys, *argv, "--format", "csv", "--out", str(csv_file))[0] == 0
-    records = [json.loads(ln) for ln in jsonl.read_text().splitlines()]
-    rows = list(csv.DictReader(csv_file.read_text().splitlines()))
-    assert len(rows) == len(records) > 1
-    keys = {k for r in records for k in r["result"]}
-    for r, row in zip(records, rows):
-        assert (row["run_id"], row["kind"], row["seed"]) == (r["run_id"], r["kind"], str(r["seed"]))
-        assert json.loads(row["params"]) == r["params"]
-        assert {k: row[k] for k in keys} == {k: _csv_cell(r["result"].get(k)) for k in keys}
-
-
-def test_experiment_csv_aggregate(capsys, tmp_path):
-    out_file = tmp_path / "agg.csv"
-    code, _, _ = run(capsys, "experiment", "ultimate-zero", "--C", "3", "--depth", "5",
-                     "--trials", "50", "--format", "csv", "--out", str(out_file))
-    assert code == 0
-    lines = out_file.read_text().splitlines()
-    assert len(lines) == 1 + 50 + 1
-    assert lines[0].startswith("run_id,kind,seed,params")
-    rows = list(csv.DictReader(lines))
-    assert [r["record"] for r in rows] == ["trial"] * 50 + ["aggregate"]
-    assert [int(r["trial_index"]) for r in rows[:-1]] == list(range(50))
-    zeros = sum(r["ultimate_value"] == "0" for r in rows[:-1])
-    assert float(rows[-1]["estimate"]) == zeros / 50
-    assert all(r["estimate"] == "" for r in rows[:-1])
 
 
 def test_leading_term_closure_failure_is_a_finding(capsys, monkeypatch, tmp_path):
@@ -524,10 +496,9 @@ def test_bootstrap_falsified_is_a_finding(capsys, monkeypatch, tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("fmt", ["jsonl", "csv"])
-def test_out_to_non_regular_file(capsys, fmt):
+def test_out_to_non_regular_file(capsys):
     code, out, _ = run(capsys, "experiment", "ultimate-zero", "--C", "3", "--depth", "5",
-                       "--trials", "5", "--format", fmt, "--out", os.devnull)
+                       "--trials", "5", "--out", os.devnull)
     assert code == 0 and out.startswith("aggregate: ")
     assert not os.path.isfile(os.devnull)
 
@@ -608,15 +579,6 @@ def test_exotic_verify_malformed_certificate_exits_1(capsys, tmp_path, text, mes
     assert code == 1 and f"error: {message}" in err
 
 
-def test_exotic_verify_rejects_csv_out(capsys, tmp_path):
-    out_file = tmp_path / "cert.csv"
-    code, _, _ = run(capsys, "exotic", "--seed-row", "0,0,0,3,3,0,0,0,0,0,0,0", "--cap", "6",
-                     "--width", "16", "--format", "csv", "--out", str(out_file))
-    assert code == 0
-    code, _, err = run(capsys, "exotic", "--verify", str(out_file))
-    assert code == 1 and "error: certificate is not valid JSON" in err
-
-
 def test_exotic_long_seed_row_needs_no_recursion(capsys):
     seed_row = ",".join(["0"] * 1200 + ["3"])
     code, out, _ = run(capsys, "exotic", "--seed-row", seed_row, "--cap", "3",
@@ -648,12 +610,10 @@ def test_manifest_on_stderr(capsys):
     assert json.loads(err2.splitlines()[-1])["run_id"] == manifest["run_id"]
 
 
-@pytest.mark.parametrize("extra", [("--out", "t.jsonl"), ("--format", "csv", "--out", "t.csv")],
-                         ids=["out", "csv"])
-def test_manifest_run_id_ignores_output_options(capsys, tmp_path, monkeypatch, extra):
+def test_manifest_run_id_ignores_out(capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     manifests = []
-    for argv in ((), extra):
+    for argv in ((), ("--out", "t.jsonl")):
         code, _, err = run(capsys, "triangle", "--values", "2,3,5", *argv)
         assert code == 0
         manifests.append(json.loads(err.splitlines()[-1]))

@@ -23,10 +23,6 @@ GOLDEN = [
     (("experiment", "increasing-alphabet", "--M", "1000", "--f", "1:2,500:3", "--trials", "20",
       "--seed", "3"),
      "180b44e1ed7d9afc9d875a93e7d08953caebdfe4652f7a7964a7a8bd31fb6b90"),
-    # CSV: the trial and aggregate rows under the union of their result keys.
-    (("experiment", "collapse", "--M", "2000", "--C", "3", "--trials", "50", "--seed", "3",
-      "--format", "csv"),
-     "fcd38c3d5d08bfaad7c77b847d4ba6aac16d16d586807c3a0778210ec61f8f95"),
     (("primes", "--limit", "100000"),
      "919dd6eacec0145622827cbe19acb59143247c2d4178045f44debfb443c39b14"),
     (("parity", "--depth", "100", "--prob-even", "2,6"),
@@ -58,11 +54,10 @@ GOLDEN = [
 ]
 
 
-# The first two arguments, then the (first) value of --format, --stop, --red-fraction,
-# --weights or --allowed if given, and the flag --destruction if given.
+# The first two arguments, then the (first) value of --stop, --red-fraction, --weights
+# or --allowed if given, and the flag --destruction if given.
 IDS = [" ".join(a[:2]) + "".join(f" {a[a.index(opt) + 1]}"
-                                 for opt in ("--format", "--stop", "--red-fraction", "--weights",
-                                             "--allowed")
+                                 for opt in ("--stop", "--red-fraction", "--weights", "--allowed")
                                  if opt in a) + " --destruction" * ("--destruction" in a)
        for a, _ in GOLDEN]
 

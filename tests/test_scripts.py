@@ -17,8 +17,6 @@ from gilbreath import walks
 ROOT = Path(__file__).resolve().parent.parent
 
 RUNS = [
-    ("collapse_sweep.py", "--alphabets", "3", "--lengths", "100", "--trials", "5"),
-    ("verify_primes.py", "--limits", "10000"),
     ("debruijn_coloring_probe.py", "--C", "3", "--k", "3", "--max-length", "8",
      "--random-colorings", "3"),
 ]
