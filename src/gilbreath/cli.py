@@ -346,13 +346,17 @@ def _cmd_experiment(args) -> list[Group]:
 
 
 def _cmd_primes(args) -> list[Group]:
+    stats: dict = {}
+    start = time.perf_counter()
     verdict = primes.verify_gilbreath(
         args.limit,
         max_full_rows=args.max_full_rows,
         checkpoint_path=args.checkpoint,
         checkpoint_every=args.checkpoint_every,
         resume=args.resume,
+        stats=stats,
     )
+    stats["seconds"] = time.perf_counter() - start
     if verdict.status == "verified" and verdict.stabilization_row is not None:
         print(f"verified, stabilization row {verdict.stabilization_row}")
     else:
@@ -362,6 +366,8 @@ def _cmd_primes(args) -> list[Group]:
     if verdict.status == "violated":
         raise Finding("leading entry != 1 in the prime difference triangle",
                       {"limit": args.limit, "row": verdict.verified_rows + 1})
+    # After the finding check: a violated run's stderr starts with the FINDING line.
+    print(f"stats: {json.dumps(stats, sort_keys=True)}", file=sys.stderr)
     return [("primes", params, [asdict(verdict)])]
 
 

@@ -6,7 +6,9 @@ later first entry is 1 (|1-0| = |1-2| = 1 and {0,2} is closed under absolute
 differences).  Entry (r, j) depends only on gaps j..j+r-1, so a window that
 starts D gaps before a sieve segment is exact to depth D and memory is
 O(D + segment): the prefix idea of A. M. Odlyzko, "Iterated absolute values of
-differences of consecutive primes", Math. Comp. 61 (1993).
+differences of consecutive primes", Math. Comp. 61 (1993).  The sieve runs in
+a forked child that streams each segment's gaps through a pipe, so it sieves
+the next segment while the parent differences the current window.
 """
 
 from __future__ import annotations
@@ -14,7 +16,9 @@ from __future__ import annotations
 import hashlib
 import math
 import os
+import signal
 import struct
+import time
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
@@ -29,6 +33,12 @@ CHECKPOINT_HEADER = "<4sIQQQQQ"
 # The odd primes the sieve's pre-sieve pattern crosses off, and its period in odd cells.
 WHEEL = (3, 5, 7, 11, 13)
 WHEEL_CELLS = 3 * 5 * 7 * 11 * 13
+# Each frame from the sieve child starts with (count, value).  count >= 0: that
+# many uint16 gaps follow and value is the last prime so far.  FRAME_END: the
+# stream is complete and value is the child's VmHWM in kB (-1 without /proc).
+# FRAME_ERROR: a message of value UTF-8 bytes follows.
+FRAME = struct.Struct("<qq")
+FRAME_END, FRAME_ERROR = -1, -2
 
 
 @dataclass(frozen=True)
@@ -167,12 +177,118 @@ def _window_stop(window: np.ndarray, S: int, D: int) -> int | Verdict:
     return row
 
 
+def _write_all(fd: int, *parts) -> None:
+    for part in parts:
+        view = memoryview(part).cast("B")
+        while view:
+            view = view[os.write(fd, view):]
+
+
+def _peak_rss_kb() -> int:
+    try:
+        with open("/proc/self/status") as fh:
+            return next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
+    except (OSError, StopIteration):
+        return -1
+
+
+def _send_gaps(fd: int, segments: Iterator[np.ndarray], last: int) -> None:
+    """The sieve child's work: one frame of gaps per segment, then the end frame."""
+    try:
+        for seg in segments:
+            gaps = np.diff(seg, prepend=last)
+            if gaps.size:
+                if int(gaps.max()) > np.iinfo(np.uint16).max:
+                    raise ValueError(f"prime gap {int(gaps.max())} does not fit in uint16")
+                last = int(seg[-1])
+            _write_all(fd, FRAME.pack(gaps.size, last), gaps.astype(np.uint16))
+        end = FRAME.pack(FRAME_END, _peak_rss_kb())
+    except Exception as exc:
+        message = str(exc).encode()
+        end = FRAME.pack(FRAME_ERROR, len(message)) + message
+    _write_all(fd, end)
+
+
+class _SieveChild:
+    """A forked child that sieves and sends each segment's gaps through a pipe.
+
+    The parent reads one frame per segment while the child sieves the next.
+    The child leaves only through os._exit; if the parent dies, the child's
+    next write fails with EPIPE and it exits.  `close` kills the child unless
+    its stream has ended, closes the pipe and reaps the child.
+    """
+
+    def __init__(self) -> None:
+        self.pid, self.fd = 0, None
+        self.finished = False
+        self.wait_s = 0.0
+        self.peak_rss_kb = -1
+
+    def start(self, segments: Iterator[np.ndarray], last: int) -> None:
+        # SIGINT stays blocked in the child: a Ctrl-C interrupts the parent,
+        # which kills the child.  The parent blocks it only until it holds
+        # the pid and the pipe, so `close` can always clean up.
+        mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+        try:
+            self.fd, w = os.pipe()
+            try:
+                self.pid = os.fork()
+                if not self.pid:
+                    code = 1
+                    try:
+                        os.close(self.fd)
+                        _send_gaps(w, segments, last)
+                        code = 0
+                    finally:
+                        os._exit(code)
+            finally:
+                os.close(w)
+        finally:
+            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+
+    def _read_into(self, buf) -> None:
+        view = memoryview(buf).cast("B")
+        t0 = time.perf_counter()
+        while view:
+            n = os.readv(self.fd, [view])
+            if not n:
+                raise ChildProcessError(f"sieve process {self.pid} ended before its stream")
+            view = view[n:]
+        self.wait_s += time.perf_counter() - t0
+
+    def receive(self, tail: np.ndarray) -> tuple[int, np.ndarray] | None:
+        """(last prime, `tail` followed by the next segment's gaps); None at the end."""
+        header = bytearray(FRAME.size)
+        self._read_into(header)
+        count, value = FRAME.unpack(header)
+        if count == FRAME_END:
+            self.finished, self.peak_rss_kb = True, value
+            return None
+        if count == FRAME_ERROR:
+            message = bytearray(value)
+            self._read_into(message)
+            raise ValueError(message.decode())
+        window = np.empty(tail.size + count, dtype=np.uint16)
+        window[: tail.size] = tail
+        self._read_into(window[tail.size :])
+        return value, window
+
+    def close(self) -> None:
+        if self.pid and not self.finished:
+            os.kill(self.pid, signal.SIGKILL)
+        if self.fd is not None:
+            os.close(self.fd)
+        if self.pid:
+            os.waitpid(self.pid, 0)
+
+
 def verify_gilbreath(
     N: int,
     max_full_rows: int = 10_000,
     checkpoint_path: str | None = None,
     checkpoint_every: int = 0,
     resume: bool = False,
+    stats: dict | None = None,
 ) -> Verdict:
     """Check that every difference-triangle row of the primes <= N starts with 1.
 
@@ -184,7 +300,9 @@ def verify_gilbreath(
     window.  A window that does not stop within D steps makes the verdict
     "inconclusive".  The checkpoint is written after every
     `checkpoint_every`-th segment; a checkpoint path without it is an error
-    unless the run resumes from that path.
+    unless the run resumes from that path.  A `stats` dict receives the number
+    of segments, the seconds spent waiting on the sieve child and the child's
+    peak RSS in MB (None if it never finished or has no /proc).
     """
     if N < 3:
         raise ValueError("limit must be >= 3")
@@ -208,20 +326,27 @@ def verify_gilbreath(
         _, _, last, seen, S, tail = ck
     else:
         last, seen, S, tail = 2, 0, 0, np.empty(0, dtype=np.uint16)
-    for k, seg in enumerate(sieve_segments(SieveConfig(N), start=last + 1), 1):
-        if seg.size:
-            gaps = np.diff(seg, prepend=last)
-            if int(gaps.max()) > np.iinfo(np.uint16).max:
-                raise ValueError(f"prime gap {int(gaps.max())} does not fit in uint16")
-            window = np.concatenate([tail, gaps.astype(np.uint16)])
-            last, seen = int(seg[-1]), seen + gaps.size
-            if S or window.size > D:
-                S = _window_stop(window, S, D)
-                if isinstance(S, Verdict):
-                    return S
-            tail = window[-D:] if D else window[:0]
-        if checkpoint_every and k % checkpoint_every == 0:
-            _write_checkpoint(checkpoint_path, Checkpoint(N, D, last, seen, S, tail))
+    child, k = _SieveChild(), 0
+    try:
+        child.start(sieve_segments(SieveConfig(N), start=last + 1), last)
+        while (frame := child.receive(tail)) is not None:
+            k += 1
+            last, window = frame
+            if window.size > tail.size:
+                seen += window.size - tail.size
+                if S or window.size > D:
+                    S = _window_stop(window, S, D)
+                    if isinstance(S, Verdict):
+                        return S
+                tail = window[-D:] if D else window[:0]
+            if checkpoint_every and k % checkpoint_every == 0:
+                _write_checkpoint(checkpoint_path, Checkpoint(N, D, last, seen, S, tail))
+    finally:
+        child.close()
+        if stats is not None:
+            kb = child.peak_rss_kb
+            stats.update(segments=k, wait_s=child.wait_s,
+                         child_peak_rss_mb=kb / 1024 if kb >= 0 else None)
     if not S:  # the sieve ended within D gaps: they all form the first window
         S = _window_stop(tail, 0, D)
     return S if isinstance(S, Verdict) else Verdict("verified", seen, S, S - 1)

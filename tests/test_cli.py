@@ -381,6 +381,19 @@ def test_bootstrap_stats_on_stderr_only(capsys, tmp_path):
     assert "stats" not in out_file.read_text() and "seconds" not in out_file.read_text()
 
 
+def test_primes_stats_on_stderr_only(capsys, tmp_path):
+    out_file = tmp_path / "p.jsonl"
+    code, _, err = run(capsys, "primes", "--limit", "100000", "--out", str(out_file))
+    assert code == 0
+    (line,) = [ln for ln in err.splitlines() if ln.startswith("stats: ")]
+    stats = json.loads(line[len("stats: "):])
+    assert set(stats) == {"segments", "wait_s", "seconds", "child_peak_rss_mb"}
+    # 1e5 numbers fit in one 2**20-number segment.
+    assert stats["segments"] == 1
+    assert 0 <= stats["wait_s"] <= stats["seconds"] and stats["child_peak_rss_mb"] > 0
+    assert "stats" not in out_file.read_text() and "seconds" not in out_file.read_text()
+
+
 def test_bootstrap_random_dense_graph(capsys, tmp_path):
     out_file = tmp_path / "r.jsonl"
     code, _, _ = run(capsys, "bootstrap", "--random", "12,11", "--length", "4",

@@ -1,6 +1,8 @@
 import hashlib
 import json
+import os
 import re
+import signal
 import struct
 from itertools import islice, product
 
@@ -242,6 +244,79 @@ def test_gap_beyond_uint16_raises(monkeypatch):
     use_stream(monkeypatch, [2, 3, 5, 7, 7 + 70_000])
     with pytest.raises(ValueError, match="uint16"):
         verify_gilbreath(10**5)
+
+
+def no_child_left() -> bool:
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
+def crash_on_second_checkpoint(monkeypatch) -> None:
+    calls = []
+
+    def crash(path, ck):
+        calls.append(ck)
+        if len(calls) == 2:
+            raise RuntimeError("killed")
+
+    monkeypatch.setattr(primes, "_write_checkpoint", crash)
+
+
+def interrupt_at_first_window(monkeypatch) -> None:
+    def interrupt(window, S, D):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(primes, "_window_stop", interrupt)
+
+
+@pytest.mark.parametrize("setup, kwargs, outcome", [
+    (lambda mp: None, {}, "verified"),
+    (lambda mp: use_stream(mp, CRAFTED), {}, "violated"),
+    (lambda mp: use_stream(mp, [2, 3, 5, 7, 7 + 70_000]), {},
+     (ValueError, "prime gap 70000 does not fit in uint16")),
+    (crash_on_second_checkpoint, {"checkpoint_path": "unused", "checkpoint_every": 4},
+     (RuntimeError, "killed")),
+    (interrupt_at_first_window, {}, (KeyboardInterrupt, "")),
+], ids=["verified", "violated", "gap-overflow", "parent-crash", "interrupt"])
+def test_sieve_child_is_reaped(monkeypatch, setup, kwargs, outcome):
+    use_segment_size(monkeypatch, 1000)
+    setup(monkeypatch)
+    if isinstance(outcome, str):
+        assert verify_gilbreath(10**5, max_full_rows=70, **kwargs).status == outcome
+    else:
+        with pytest.raises(outcome[0], match=f"^{re.escape(outcome[1])}$"):
+            verify_gilbreath(10**5, max_full_rows=70, **kwargs)
+    assert no_child_left()
+
+
+def test_killed_sieve_never_yields_a_verdict(monkeypatch):
+    # The fake sieve SIGKILLs the process it runs in, the child, at its third
+    # segment: the stream then ends without its end frame.
+    parent = os.getpid()
+    sieve = primes.sieve_segments
+
+    def killed(cfg, start=2):
+        for i, seg in enumerate(sieve(SieveConfig(cfg.limit, 1000), start)):
+            if i == 2:
+                assert os.getpid() != parent
+                os.kill(os.getpid(), signal.SIGKILL)
+            yield seg
+
+    monkeypatch.setattr(primes, "sieve_segments", killed)
+    with pytest.raises(ChildProcessError, match="ended before its stream"):
+        verify_gilbreath(10**5)
+    assert no_child_left()
+
+
+def test_empty_segments_are_counted(monkeypatch):
+    # One-number segments: most hold no prime, and each still counts.
+    use_segment_size(monkeypatch, 1)
+    stats = {}
+    assert verify_gilbreath(1000, stats=stats) == full_row_verdict(1000, 10_000)
+    assert stats["segments"] == 998 and stats["child_peak_rss_mb"] > 0 <= stats["wait_s"]
 
 
 def test_verify_budget_exhaustion():
