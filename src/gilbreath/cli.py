@@ -305,7 +305,6 @@ def _cmd_bootstrap(args) -> list[Group]:
         print(note)
     stats = {"dp_steps": (verdict.long_length or L) - 1,
              "seconds": time.perf_counter() - start}
-    print(f"stats: {json.dumps(stats, sort_keys=True)}", file=sys.stderr)
     c = args.c if args.c is not None else verdict.short_probability
     params = dict(source, n=g.n, d=g.d, length=L, c=str(c))
     result = asdict(verdict, dict_factory=_exact_fractions)
@@ -320,6 +319,8 @@ def _cmd_bootstrap(args) -> list[Group]:
     if verdict.hypothesis_met and not verdict.holds:
         raise Finding("bootstrap conclusion falsified",
                       {"graph": walks.format_walk_instance(g, red), "L": L, "c": str(c)})
+    # After the finding check: a falsified run's stderr starts with the FINDING line.
+    print(f"stats: {json.dumps(stats, sort_keys=True)}", file=sys.stderr)
     return [("bootstrap", params, [result])]
 
 

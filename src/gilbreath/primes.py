@@ -13,6 +13,7 @@ the next segment while the parent differences the current window.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import math
 import os
@@ -20,7 +21,7 @@ import signal
 import struct
 import time
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple
+from typing import BinaryIO, Iterator, NamedTuple
 
 import numpy as np
 
@@ -35,8 +36,8 @@ WHEEL = (3, 5, 7, 11, 13)
 WHEEL_CELLS = 3 * 5 * 7 * 11 * 13
 # Each frame from the sieve child starts with (count, value).  count >= 0: that
 # many uint16 gaps follow and value is the last prime so far.  FRAME_END: the
-# stream is complete and value is the child's VmHWM in kB (-1 without /proc).
-# FRAME_ERROR: a message of value UTF-8 bytes follows.
+# stream is complete (value unused).  FRAME_ERROR: a message of value UTF-8
+# bytes follows.
 FRAME = struct.Struct("<qq")
 FRAME_END, FRAME_ERROR = -1, -2
 
@@ -177,22 +178,7 @@ def _window_stop(window: np.ndarray, S: int, D: int) -> int | Verdict:
     return row
 
 
-def _write_all(fd: int, *parts) -> None:
-    for part in parts:
-        view = memoryview(part).cast("B")
-        while view:
-            view = view[os.write(fd, view):]
-
-
-def _peak_rss_kb() -> int:
-    try:
-        with open("/proc/self/status") as fh:
-            return next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
-    except (OSError, StopIteration):
-        return -1
-
-
-def _send_gaps(fd: int, segments: Iterator[np.ndarray], last: int) -> None:
+def _send_gaps(out: BinaryIO, segments: Iterator[np.ndarray], last: int) -> None:
     """The sieve child's work: one frame of gaps per segment, then the end frame."""
     try:
         for seg in segments:
@@ -201,85 +187,75 @@ def _send_gaps(fd: int, segments: Iterator[np.ndarray], last: int) -> None:
                 if int(gaps.max()) > np.iinfo(np.uint16).max:
                     raise ValueError(f"prime gap {int(gaps.max())} does not fit in uint16")
                 last = int(seg[-1])
-            _write_all(fd, FRAME.pack(gaps.size, last), gaps.astype(np.uint16))
-        end = FRAME.pack(FRAME_END, _peak_rss_kb())
+            out.write(FRAME.pack(gaps.size, last))
+            out.write(gaps.astype(np.uint16))
+        end = FRAME.pack(FRAME_END, 0)
     except Exception as exc:
         message = str(exc).encode()
         end = FRAME.pack(FRAME_ERROR, len(message)) + message
-    _write_all(fd, end)
+    out.write(end)
 
 
-class _SieveChild:
-    """A forked child that sieves and sends each segment's gaps through a pipe.
+def _sieved_gaps(
+    segments: Iterator[np.ndarray], last: int, stats: dict
+) -> Iterator[tuple[int, np.ndarray]]:
+    """(last prime, gaps) per segment, from a forked child that sieves them into a pipe.
 
-    The parent reads one frame per segment while the child sieves the next.
-    The child leaves only through os._exit; if the parent dies, the child's
-    next write fails with EPIPE and it exits.  `close` kills the child unless
-    its stream has ended, closes the pipe and reaps the child.
+    The parent reads one frame while the child sieves the next.  The child
+    leaves only through os._exit; if the parent dies, the child's next write
+    fails with EPIPE and it exits.  On every path out, `finally` kills the
+    child unless its stream ended, closes the pipe and reaps the child with
+    os.wait4, whose ru_maxrss (kB on Linux) is the child's peak RSS.  `stats`
+    receives the frames read, the seconds spent waiting on them and that peak.
     """
-
-    def __init__(self) -> None:
-        self.pid, self.fd = 0, None
-        self.finished = False
-        self.wait_s = 0.0
-        self.peak_rss_kb = -1
-
-    def start(self, segments: Iterator[np.ndarray], last: int) -> None:
-        # SIGINT stays blocked in the child: a Ctrl-C interrupts the parent,
-        # which kills the child.  The parent blocks it only until it holds
-        # the pid and the pipe, so `close` can always clean up.
-        mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+    r, w = os.pipe()
+    pipe = open(r, "rb")
+    pid, frames, wait_s, finished = 0, 0, 0.0, False
+    # SIGINT stays blocked in the child: a Ctrl-C interrupts the parent, which
+    # kills the child.  The parent blocks it only until it holds the pid, so
+    # `finally` can always clean up.
+    mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+    try:
         try:
-            self.fd, w = os.pipe()
-            try:
-                self.pid = os.fork()
-                if not self.pid:
-                    code = 1
-                    try:
-                        os.close(self.fd)
-                        _send_gaps(w, segments, last)
-                        code = 0
-                    finally:
-                        os._exit(code)
-            finally:
-                os.close(w)
+            pid = os.fork()
+            if not pid:
+                code = 1
+                try:
+                    pipe.close()
+                    with open(w, "wb") as out:
+                        _send_gaps(out, segments, last)
+                    code = 0
+                finally:
+                    os._exit(code)
         finally:
+            os.close(w)
             signal.pthread_sigmask(signal.SIG_SETMASK, mask)
 
-    def _read_into(self, buf) -> None:
-        view = memoryview(buf).cast("B")
-        t0 = time.perf_counter()
-        while view:
-            n = os.readv(self.fd, [view])
-            if not n:
-                raise ChildProcessError(f"sieve process {self.pid} ended before its stream")
-            view = view[n:]
-        self.wait_s += time.perf_counter() - t0
+        def read(n: int) -> bytes:
+            nonlocal wait_s
+            t0 = time.perf_counter()
+            data = pipe.read(n)  # a buffered read comes back short only at EOF
+            wait_s += time.perf_counter() - t0
+            if len(data) < n:
+                raise ChildProcessError(f"sieve process {pid} ended before its stream")
+            return data
 
-    def receive(self, tail: np.ndarray) -> tuple[int, np.ndarray] | None:
-        """(last prime, `tail` followed by the next segment's gaps); None at the end."""
-        header = bytearray(FRAME.size)
-        self._read_into(header)
-        count, value = FRAME.unpack(header)
-        if count == FRAME_END:
-            self.finished, self.peak_rss_kb = True, value
-            return None
-        if count == FRAME_ERROR:
-            message = bytearray(value)
-            self._read_into(message)
-            raise ValueError(message.decode())
-        window = np.empty(tail.size + count, dtype=np.uint16)
-        window[: tail.size] = tail
-        self._read_into(window[tail.size :])
-        return value, window
-
-    def close(self) -> None:
-        if self.pid and not self.finished:
-            os.kill(self.pid, signal.SIGKILL)
-        if self.fd is not None:
-            os.close(self.fd)
-        if self.pid:
-            os.waitpid(self.pid, 0)
+        while True:
+            count, value = FRAME.unpack(read(FRAME.size))
+            if count == FRAME_END:
+                finished = True
+                return
+            if count == FRAME_ERROR:
+                raise ValueError(read(value).decode())
+            frames += 1
+            yield value, np.frombuffer(read(2 * count), dtype=np.uint16)
+    finally:
+        if pid and not finished:
+            os.kill(pid, signal.SIGKILL)
+        pipe.close()
+        peak_kb = os.wait4(pid, 0)[2].ru_maxrss if pid else 0
+        stats.update(segments=frames, wait_s=wait_s,
+                     child_peak_rss_mb=peak_kb / 1024 if finished else None)
 
 
 def verify_gilbreath(
@@ -300,9 +276,10 @@ def verify_gilbreath(
     window.  A window that does not stop within D steps makes the verdict
     "inconclusive".  The checkpoint is written after every
     `checkpoint_every`-th segment; a checkpoint path without it is an error
-    unless the run resumes from that path.  A `stats` dict receives the number
-    of segments, the seconds spent waiting on the sieve child and the child's
-    peak RSS in MB (None if it never finished or has no /proc).
+    unless the run resumes from that path.  The sieve runs in a forked child
+    (`_sieved_gaps`).  A `stats` dict receives the number of segments, the
+    seconds spent waiting on the child and its peak RSS in MB: `ru_maxrss`
+    from os.wait4 when the child is reaped, None if it did not finish.
     """
     if N < 3:
         raise ValueError("limit must be >= 3")
@@ -326,14 +303,13 @@ def verify_gilbreath(
         _, _, last, seen, S, tail = ck
     else:
         last, seen, S, tail = 2, 0, 0, np.empty(0, dtype=np.uint16)
-    child, k = _SieveChild(), 0
-    try:
-        child.start(sieve_segments(SieveConfig(N), start=last + 1), last)
-        while (frame := child.receive(tail)) is not None:
-            k += 1
-            last, window = frame
-            if window.size > tail.size:
-                seen += window.size - tail.size
+    frames = _sieved_gaps(sieve_segments(SieveConfig(N), start=last + 1), last,
+                          {} if stats is None else stats)
+    with contextlib.closing(frames):
+        for k, (last, gaps) in enumerate(frames, 1):
+            if gaps.size:
+                seen += gaps.size
+                window = np.concatenate((tail, gaps))
                 if S or window.size > D:
                     S = _window_stop(window, S, D)
                     if isinstance(S, Verdict):
@@ -341,12 +317,6 @@ def verify_gilbreath(
                 tail = window[-D:] if D else window[:0]
             if checkpoint_every and k % checkpoint_every == 0:
                 _write_checkpoint(checkpoint_path, Checkpoint(N, D, last, seen, S, tail))
-    finally:
-        child.close()
-        if stats is not None:
-            kb = child.peak_rss_kb
-            stats.update(segments=k, wait_s=child.wait_s,
-                         child_peak_rss_mb=kb / 1024 if kb >= 0 else None)
     if not S:  # the sieve ended within D gaps: they all form the first window
         S = _window_stop(tail, 0, D)
     return S if isinstance(S, Verdict) else Verdict("verified", seen, S, S - 1)

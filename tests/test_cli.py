@@ -503,6 +503,7 @@ def test_bootstrap_falsified_is_a_finding(capsys, monkeypatch, tmp_path):
                        "--out", str(tmp_path / "b.jsonl"))
     assert code == 2
     assert "FINDING: bootstrap conclusion falsified" in err
+    assert err.splitlines()[0].startswith("FINDING:")
     graph = walks.format_walk_instance(*walks.remark_counterexample(20)[:2])
     assert finding(err) == {"finding": "bootstrap conclusion falsified",
                             "reproducer": {"graph": graph, "L": 1, "c": "1/20"}}

@@ -4,6 +4,9 @@ import os
 import re
 import signal
 import struct
+import subprocess
+import sys
+import time
 from itertools import islice, product
 
 import numpy as np
@@ -309,6 +312,57 @@ def test_killed_sieve_never_yields_a_verdict(monkeypatch):
     with pytest.raises(ChildProcessError, match="ended before its stream"):
         verify_gilbreath(10**5)
     assert no_child_left()
+
+
+def test_frame_cut_short_never_yields_a_verdict(monkeypatch):
+    # The child's header promises 100 gaps, then it sends 10 bytes and ends.
+    def cut_short(out, segments, last):
+        out.write(primes.FRAME.pack(100, 7))
+        out.write(bytes(10))
+
+    monkeypatch.setattr(primes, "_send_gaps", cut_short)
+    with pytest.raises(ChildProcessError, match="ended before its stream"):
+        verify_gilbreath(10**5)
+    assert no_child_left()
+
+
+def proc_state(pid: int) -> str | None:
+    """The state letter in /proc/<pid>/stat ("Z" for a zombie), None once the pid is gone."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rpartition(")")[2].split()[0]
+    except FileNotFoundError:
+        return None
+
+
+@pytest.mark.skipif(not os.path.exists(f"/proc/{os.getpid()}/task/{os.getpid()}/children"),
+                    reason="needs /proc/<pid>/task/<pid>/children")
+def test_orphaned_sieve_child_exits():
+    # A SIGKILLed parent closes the pipe's read end, so the child's next write fails.
+    src = os.path.dirname(os.path.dirname(primes.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    parent = subprocess.Popen([sys.executable, "-m", "gilbreath.cli", "primes", "--limit", "10000000000"],
+                              env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    children = []
+    try:
+        deadline = time.monotonic() + 30
+        while not children and time.monotonic() < deadline and parent.poll() is None:
+            with open(f"/proc/{parent.pid}/task/{parent.pid}/children") as fh:
+                children = [int(pid) for pid in fh.read().split()]
+            time.sleep(0.01)
+        assert len(children) == 1, "the sieve child never started"
+        parent.kill()
+        parent.wait()
+        deadline = time.monotonic() + 10
+        while proc_state(children[0]) not in (None, "Z") and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert proc_state(children[0]) in (None, "Z")
+    finally:
+        parent.kill()
+        parent.wait()
+        for pid in children:
+            if proc_state(pid) not in (None, "Z"):
+                os.kill(pid, signal.SIGKILL)
 
 
 def test_empty_segments_are_counted(monkeypatch):
