@@ -2,9 +2,10 @@
 
 Subcommands: triangle, parity, blocks, bootstrap, experiment, primes, exotic.
 Every run is seeded (default 0, so unseeded runs reproduce; --seed random opts
-into entropy), writes deterministic JSONL records to --out, and emits a
-run manifest on stderr.  Exit codes: 0 success, 1 usage or input error, 2 a
-falsified invariant (dumped as a minimal reproducer).
+into entropy), writes deterministic JSONL records to --out, and ends its stderr
+with a run manifest whose `stats` object holds the run's counters.  Exit
+codes: 0 success, 1 usage or input error, 2 a falsified invariant (dumped as a
+minimal reproducer).
 """
 
 from __future__ import annotations
@@ -159,7 +160,7 @@ def _write_records(lines: Iterable[str], out: str) -> None:
             os.remove(tmp)
 
 
-def _manifest(subcommand: str, params: dict, seed: int, started: float) -> None:
+def _manifest(subcommand: str, params: dict, seed: int, started: float, stats: dict) -> None:
     # --out says where records go, not what they are, so the run_id ignores it.
     obj = {
         "run_id": _run_id(subcommand, {k: v for k, v in params.items() if k != "out"}, seed),
@@ -169,6 +170,7 @@ def _manifest(subcommand: str, params: dict, seed: int, started: float) -> None:
         "version": __version__,
         "started": started,
         "finished": time.time(),
+        "stats": stats,
     }
     print(json.dumps(obj, sort_keys=True, default=str), file=sys.stderr)
 
@@ -182,7 +184,7 @@ _STOP_CHOICES = {
 }
 
 
-def _cmd_triangle(args) -> list[Group]:
+def _cmd_triangle(args, stats: dict) -> list[Group]:
     row = args.values
     stop = _STOP_CHOICES[args.stop]
     _require(args.d is None or stop is all_in_zero_d, "--d needs --stop zero-d")
@@ -197,7 +199,7 @@ def _cmd_triangle(args) -> list[Group]:
     return [("triangle", params, [result])]
 
 
-def _cmd_parity(args) -> list[Group]:
+def _cmd_parity(args, stats: dict) -> list[Group]:
     groups = []
     if args.depth is not None:
         m = parity.mask(args.depth)
@@ -225,7 +227,7 @@ def _cmd_parity(args) -> list[Group]:
     return groups
 
 
-def _cmd_blocks(args) -> list[Group]:
+def _cmd_blocks(args, stats: dict) -> list[Group]:
     row = args.values
     groups = []
     _require(args.witness is None or args.allowed is not None, "--witness needs --allowed")
@@ -296,15 +298,13 @@ def _exact_fractions(items: list[tuple[str, object]]) -> dict:
     return {k: str(v) if isinstance(v, Fraction) else v for k, v in items}
 
 
-def _cmd_bootstrap(args) -> list[Group]:
+def _cmd_bootstrap(args, stats: dict) -> list[Group]:
     g, red, source, note = _build_graph(args, args.seed)
     L = args.length
-    start = time.perf_counter()
     verdict = walks.check_bootstrap(g, red, L, args.c)
     if note:  # only once check_bootstrap has accepted --c: an input error prints nothing
         print(note)
-    stats = {"dp_steps": (verdict.long_length or L) - 1,
-             "seconds": time.perf_counter() - start}
+    stats["dp_steps"] = (verdict.long_length or L) - 1
     c = args.c if args.c is not None else verdict.short_probability
     params = dict(source, n=g.n, d=g.d, length=L, c=str(c))
     result = asdict(verdict, dict_factory=_exact_fractions)
@@ -319,12 +319,10 @@ def _cmd_bootstrap(args) -> list[Group]:
     if verdict.hypothesis_met and not verdict.holds:
         raise Finding("bootstrap conclusion falsified",
                       {"graph": walks.format_walk_instance(g, red), "L": L, "c": str(c)})
-    # After the finding check: a falsified run's stderr starts with the FINDING line.
-    print(f"stats: {json.dumps(stats, sort_keys=True)}", file=sys.stderr)
     return [("bootstrap", params, [result])]
 
 
-def _cmd_experiment(args) -> list[Group]:
+def _cmd_experiment(args, stats: dict) -> list[Group]:
     # A kind's subparser declares only the options that kind reads; the others are absent.
     cfg = experiments.ExperimentConfig(
         kind=args.kind, M=args.M, trials=args.trials, seed=args.seed, C=getattr(args, "C", None),
@@ -333,22 +331,16 @@ def _cmd_experiment(args) -> list[Group]:
         weights=tuple(args.weights) if getattr(args, "weights", None) else None)
 
     def results() -> Iterator[dict]:
-        start = time.perf_counter()
         for result in experiments.run_experiment(cfg):
             yield result
         # The last result is the aggregate; main has drained the stream.
-        seconds = time.perf_counter() - start
         print(f"aggregate: {json.dumps(result, sort_keys=True)}")
-        stats = {"trials": cfg.trials, "streams": len(cfg.streams), "seconds": seconds,
-                 "trials_per_s": cfg.trials / seconds}
-        print(f"stats: {json.dumps(stats, sort_keys=True)}", file=sys.stderr)
+        stats.update(trials=cfg.trials, streams=len(cfg.streams))
 
     return [(cfg.kind, cfg.params(), results())]
 
 
-def _cmd_primes(args) -> list[Group]:
-    stats: dict = {}
-    start = time.perf_counter()
+def _cmd_primes(args, stats: dict) -> list[Group]:
     verdict = primes.verify_gilbreath(
         args.limit,
         max_full_rows=args.max_full_rows,
@@ -357,7 +349,6 @@ def _cmd_primes(args) -> list[Group]:
         resume=args.resume,
         stats=stats,
     )
-    stats["seconds"] = time.perf_counter() - start
     if verdict.status == "verified" and verdict.stabilization_row is not None:
         print(f"verified, stabilization row {verdict.stabilization_row}")
     else:
@@ -367,12 +358,10 @@ def _cmd_primes(args) -> list[Group]:
     if verdict.status == "violated":
         raise Finding("leading entry != 1 in the prime difference triangle",
                       {"limit": args.limit, "row": verdict.verified_rows + 1})
-    # After the finding check: a violated run's stderr starts with the FINDING line.
-    print(f"stats: {json.dumps(stats, sort_keys=True)}", file=sys.stderr)
     return [("primes", params, [asdict(verdict)])]
 
 
-def _cmd_exotic(args) -> list[Group]:
+def _cmd_exotic(args, stats: dict) -> list[Group]:
     import random as _random
 
     if args.verify is not None:
@@ -520,15 +509,16 @@ _HANDLERS = {
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    started = time.time()
+    started, stats = time.time(), {}
     try:
         args.seed = _resolve_seed(args.seed)
         # Fail before the handler: a primes run can take minutes before it writes.
-        if args.out is not None:
-            target = os.path.realpath(args.out)
-            _require(os.path.isdir(os.path.dirname(target)) and not os.path.isdir(target),
-                     f"--out {args.out}: not a file in an existing directory")
-        groups = _HANDLERS[args.command](args)
+        for option in ("out", "checkpoint"):
+            if (path := getattr(args, option, None)) is not None:
+                target = os.path.realpath(path)
+                _require(os.path.isdir(os.path.dirname(target)) and not os.path.isdir(target),
+                         f"--{option} {path}: not a file in an existing directory")
+        groups = _HANDLERS[args.command](args, stats)
         if args.out is None:  # drain the results (an experiment prints at the end); encode none
             for _, _, results in groups:
                 collections.deque(results, maxlen=0)
@@ -544,7 +534,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
     finally:
         public = {k: v for k, v in vars(args).items() if k not in ("command", "seed")}
-        _manifest(args.command, public, args.seed, started)
+        _manifest(args.command, public, args.seed, started, stats)
     return EXIT_OK
 
 

@@ -125,13 +125,18 @@ def _write_checkpoint(path: str, ck: Checkpoint) -> None:
     header = struct.pack(CHECKPOINT_HEADER, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, *ck[:-1])
     payload = ck.tail.astype("<u2").tobytes()
     digest = hashlib.sha256(header + payload).digest()
-    # Write beside it and rename, so a crash never leaves a torn checkpoint.
+    # Write beside it and rename, so a crash never leaves a torn checkpoint;
+    # a write or rename that fails leaves no temporary file behind.
     tmp = f"{path}.tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(header + digest + payload)
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(header + digest + payload)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    finally:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
 
 
 def load_checkpoint(path: str) -> Checkpoint:

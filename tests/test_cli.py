@@ -373,9 +373,9 @@ def test_bootstrap_stats_on_stderr_only(capsys, tmp_path):
     code, _, err = run(capsys, "bootstrap", "--debruijn", "3,2", "--targets", "0,2",
                        "--length", "10", "--out", str(out_file))
     assert code == 0
-    (line,) = [ln for ln in err.splitlines() if ln.startswith("stats: ")]
-    stats = json.loads(line[len("stats: "):])
-    assert set(stats) == {"dp_steps", "seconds"} and stats["seconds"] > 0
+    assert not any(ln.startswith("stats: ") for ln in err.splitlines())
+    stats = json.loads(err.splitlines()[-1])["stats"]
+    assert set(stats) == {"dp_steps"}
     record = json.loads(out_file.read_text())
     assert stats["dp_steps"] == max(10, record["result"]["long_length"] or 10) - 1
     assert "stats" not in out_file.read_text() and "seconds" not in out_file.read_text()
@@ -385,12 +385,14 @@ def test_primes_stats_on_stderr_only(capsys, tmp_path):
     out_file = tmp_path / "p.jsonl"
     code, _, err = run(capsys, "primes", "--limit", "100000", "--out", str(out_file))
     assert code == 0
-    (line,) = [ln for ln in err.splitlines() if ln.startswith("stats: ")]
-    stats = json.loads(line[len("stats: "):])
-    assert set(stats) == {"segments", "wait_s", "seconds", "child_peak_rss_mb"}
+    assert not any(ln.startswith("stats: ") for ln in err.splitlines())
+    manifest = json.loads(err.splitlines()[-1])
+    stats = manifest["stats"]
+    assert set(stats) == {"segments", "wait_s", "child_peak_rss_mb"}
     # 1e5 numbers fit in one 2**20-number segment.
     assert stats["segments"] == 1
-    assert 0 <= stats["wait_s"] <= stats["seconds"] and stats["child_peak_rss_mb"] > 0
+    assert 0 <= stats["wait_s"] <= manifest["finished"] - manifest["started"]
+    assert stats["child_peak_rss_mb"] > 0
     assert "stats" not in out_file.read_text() and "seconds" not in out_file.read_text()
 
 
@@ -452,12 +454,11 @@ def test_experiment_stats_on_stderr_only(capsys, tmp_path):
     code, _, err = run(capsys, "experiment", "ultimate-zero", "--C", "3", "--depth", "10",
                        "--trials", "7000", "--trial-offset", "6500", "--out", str(out_file))
     assert code == 0
-    (line,) = [ln for ln in err.splitlines() if ln.startswith("stats: ")]
-    stats = json.loads(line[len("stats: "):])
-    assert set(stats) == {"trials", "streams", "seconds", "trials_per_s"}
+    assert not any(ln.startswith("stats: ") for ln in err.splitlines())
+    stats = json.loads(err.splitlines()[-1])["stats"]
+    assert set(stats) == {"trials", "streams"}
     # 6,553 trials a stream: trials 6500..13499 fall in streams 0, 1 and 2.
     assert stats["trials"] == 7000 and stats["streams"] == 3
-    assert stats["seconds"] > 0 and stats["trials_per_s"] == 7000 / stats["seconds"]
     assert "stats" not in out_file.read_text() and "seconds" not in out_file.read_text()
 
 
@@ -525,6 +526,37 @@ def test_out_outside_an_existing_directory_exits_1_before_the_run(capsys, tmp_pa
     assert "verified" not in out
     assert f"error: --out {out_file}: " in err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("name", ["missing/ck", "ck"])
+def test_checkpoint_outside_an_existing_directory_exits_1_before_the_run(capsys, tmp_path, name):
+    # "ck" is an existing directory: the run must neither sieve nor leave ck.tmp beside it.
+    (tmp_path / "ck").mkdir()
+    checkpoint = os.path.join(tmp_path, name)
+    code, out, err = run(capsys, "primes", "--limit", "1000", "--checkpoint", checkpoint,
+                         "--checkpoint-every", "1")
+    assert code == 1
+    assert "verified" not in out
+    assert f"error: --checkpoint {checkpoint}: " in err
+    assert json.loads(err.splitlines()[-1])["stats"] == {}
+    assert [p.name for p in tmp_path.iterdir()] == ["ck"] and not any((tmp_path / "ck").iterdir())
+
+
+@pytest.mark.parametrize("argv, code", [
+    (("triangle", "--values", "2,3,5"), 0),
+    (("blocks", "--values", "1,2"), 1),
+    (("blocks", "--values", "1,0,2,2,2", "--destruction"), 2),
+], ids=["ok", "input-error", "finding"])
+def test_manifest_ends_every_exit_path(capsys, monkeypatch, argv, code):
+    # Only the --destruction run calls the check: it reports a falsified bound.
+    monkeypatch.setattr(cli, "check_block_destruction",
+                        lambda row: blocks.DestructionVerdict(True, False, 2, 4, 2))
+    got, _, err = run(capsys, *argv)
+    assert got == code
+    manifest = json.loads(err.splitlines()[-1])
+    assert manifest["subcommand"] == argv[0] and isinstance(manifest["stats"], dict)
+    if code == 2:
+        assert err.splitlines()[0].startswith("FINDING:")
 
 
 @pytest.mark.parametrize("value", [

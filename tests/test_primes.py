@@ -295,22 +295,45 @@ def test_sieve_child_is_reaped(monkeypatch, setup, kwargs, outcome):
     assert no_child_left()
 
 
-def test_killed_sieve_never_yields_a_verdict(monkeypatch):
-    # The fake sieve SIGKILLs the process it runs in, the child, at its third
-    # segment: the stream then ends without its end frame.
+def kill_child_at_third_segment(monkeypatch, segment_size: int) -> None:
+    """A fake sieve that SIGKILLs the process it runs in, the child, at its
+    third segment: the stream then ends without its end frame."""
     parent = os.getpid()
     sieve = primes.sieve_segments
 
     def killed(cfg, start=2):
-        for i, seg in enumerate(sieve(SieveConfig(cfg.limit, 1000), start)):
+        for i, seg in enumerate(sieve(SieveConfig(cfg.limit, segment_size), start)):
             if i == 2:
                 assert os.getpid() != parent
                 os.kill(os.getpid(), signal.SIGKILL)
             yield seg
 
     monkeypatch.setattr(primes, "sieve_segments", killed)
+
+
+def test_killed_sieve_never_yields_a_verdict(monkeypatch):
+    kill_child_at_third_segment(monkeypatch, 1000)
     with pytest.raises(ChildProcessError, match="ended before its stream"):
         verify_gilbreath(10**5)
+    assert no_child_left()
+
+
+def test_failed_primes_run_reports_its_counters(capsys, monkeypatch):
+    # Each of the first two segments holds over 4,096 primes, so its frame
+    # passes the child's 8 kB write buffer and reaches the parent before the kill.
+    kill_child_at_third_segment(monkeypatch, 2**16)
+    assert main(["primes", "--limit", "1000000"]) == 1
+    err = capsys.readouterr().err
+    assert "ended before its stream" in err
+    stats = json.loads(err.splitlines()[-1])["stats"]
+    assert stats["segments"] == 2 and stats["child_peak_rss_mb"] is None
+    assert no_child_left()
+
+
+def test_failed_checkpoint_write_leaves_no_temporary_file(tmp_path):
+    with pytest.raises(IsADirectoryError):
+        verify_gilbreath(10**5, checkpoint_path=str(tmp_path), checkpoint_every=1)
+    assert not os.path.exists(f"{tmp_path}.tmp")
     assert no_child_left()
 
 
