@@ -10,6 +10,10 @@ minimal reproducer).
 
 from __future__ import annotations
 
+# numpy first: its OpenBLAS worker thread spins for tens of milliseconds after
+# it starts, and the imports below then overlap that spin instead of the command.
+import numpy as np
+
 import argparse
 import collections
 import contextlib
@@ -23,8 +27,6 @@ from dataclasses import asdict
 from fractions import Fraction
 from json.encoder import c_make_encoder, encode_basestring_ascii
 from typing import Iterable, Iterator
-
-import numpy as np
 
 from . import __version__, experiments, lifting, parity, primes, walks
 from .blocks import check_block_destruction, detect_event_cascade, longest_block

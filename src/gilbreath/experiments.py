@@ -64,10 +64,6 @@ class Schedule:
             raise ValueError("schedule values must be >= 2")
 
     @classmethod
-    def constant(cls, k: int) -> "Schedule":
-        return cls(((1, k),))
-
-    @classmethod
     def parse(cls, text: str) -> "Schedule":
         spec = text if ":" in text else f"1:{text}"  # a constant k is the one point 1:k
         try:

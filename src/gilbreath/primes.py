@@ -184,7 +184,11 @@ def _window_stop(window: np.ndarray, S: int, D: int) -> int | Verdict:
 
 
 def _send_gaps(out: BinaryIO, segments: Iterator[np.ndarray], last: int) -> None:
-    """The sieve child's work: one frame of gaps per segment, then the end frame."""
+    """The sieve child's work: one frame of gaps per segment, then the end frame.
+
+    Each frame is flushed once complete, so a frame smaller than the write
+    buffer reaches the parent before the child sieves the next segment.
+    """
     try:
         for seg in segments:
             gaps = np.diff(seg, prepend=last)
@@ -194,6 +198,7 @@ def _send_gaps(out: BinaryIO, segments: Iterator[np.ndarray], last: int) -> None
                 last = int(seg[-1])
             out.write(FRAME.pack(gaps.size, last))
             out.write(gaps.astype(np.uint16))
+            out.flush()
         end = FRAME.pack(FRAME_END, 0)
     except Exception as exc:
         message = str(exc).encode()

@@ -115,11 +115,6 @@ def ultimate_iterate(row: Sequence[int]) -> int:
     return int(iterate_until(row, never).row[0])
 
 
-def triangle_rows(row: Sequence[int], depth: int | None = None) -> list[Row]:
-    """The triangle under `row`, down to length 1 or `depth` iterations."""
-    return iterate_until(row, never, depth, retain=True).rows
-
-
 @dataclass
 class IterationResult:
     iterations: int

@@ -24,7 +24,7 @@ from gilbreath.experiments import (
 from gilbreath.lifting import ExoticCertificate, verify_certificate
 from gilbreath.parity import parity_of_ultimate, prob_even
 from gilbreath.primes import verify_gilbreath
-from gilbreath.triangle import batch_ultimate, enumerate_rows, triangle_rows
+from gilbreath.triangle import batch_ultimate, enumerate_rows, iterate_until, never
 from gilbreath.walks import (
     all_red_probability,
     check_bootstrap,
@@ -63,7 +63,7 @@ def report(n: int, elapsed: float, detail: str) -> None:
 
 def test_criterion_01_golden_triangle(capsys):
     t0 = time.perf_counter()
-    rows = triangle_rows(PRIME_ROWS[0])
+    rows = iterate_until(PRIME_ROWS[0], never, retain=True).rows
     elapsed = time.perf_counter() - t0
     assert rows == PRIME_ROWS
     assert all(r[0] == 1 for r in rows[1:])
@@ -77,7 +77,7 @@ def test_criterion_01_golden_triangle(capsys):
 
 def test_criterion_02_golden_exotic(capsys):
     t0 = time.perf_counter()
-    rows = triangle_rows(EXOTIC_ROWS[0], depth=8)
+    rows = iterate_until(EXOTIC_ROWS[0], never, 8, retain=True).rows
     cert = ExoticCertificate(d=3, initial=tuple(EXOTIC_ROWS[0]), depth_checked=19,
                              first_pure_row=8)
     ok = verify_certificate(cert)
@@ -141,7 +141,7 @@ def test_criterion_05_dichotomy_suite(capsys):
     checked = failures = 0
     for _ in range(1000):
         row = rng.integers(0, 5, size=12).tolist()
-        rows = triangle_rows(row)
+        rows = iterate_until(row, never, retain=True).rows
         for i, r in enumerate(rows):
             for d in (2, 3, 4):
                 length = 0
@@ -236,7 +236,7 @@ def test_criterion_10_leading_term_desk_scale(capsys):
     cis = []
     for offset in (0, 100):
         cfg = ExperimentConfig(kind="gap_leading_term", M=5000, trials=100, seed=0,
-                               schedule=Schedule.constant(2), trial_offset=offset)
+                               schedule=Schedule.parse("2"), trial_offset=offset)
         *trials, aggregate = run_experiment(cfg)
         assert aggregate["finite_m0"] == 100, "a trial had no finite M_0"
         for t in trials:

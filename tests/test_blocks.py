@@ -15,7 +15,7 @@ from gilbreath.blocks import (
     detect_event_cascade,
     longest_block,
 )
-from gilbreath.triangle import triangle_rows
+from gilbreath.triangle import iterate_until, never
 from oracles import diff_step
 
 
@@ -121,20 +121,20 @@ def test_block_decay_is_monotone():
 
 
 def test_inverse_iterates_all_multiples():
-    rows = triangle_rows([3, 0, 3, 0, 3])
+    rows = iterate_until([3, 0, 3, 0, 3], never, retain=True).rows
     # every row is 3Z-valued; the initial row carries the full-length block
     v = check_inverse_iterates(rows, i=2, d=3, L=3)
     assert v.holds and v.branch == 1 and v.row_index == 0 and v.block_length == 5
 
 
 def test_inverse_iterates_tautology_at_i0():
-    rows = triangle_rows([6, 1, 4])
+    rows = iterate_until([6, 1, 4], never, retain=True).rows
     v = check_inverse_iterates(rows, i=0, d=2, L=1)
     assert v.holds and v.branch == 1
 
 
 def test_inverse_iterates_precondition():
-    rows = triangle_rows([1, 1, 1])
+    rows = iterate_until([1, 1, 1], never, retain=True).rows
     with pytest.raises(ValueError, match="no dZ-block"):
         check_inverse_iterates(rows, i=0, d=5, L=2)
 
@@ -143,7 +143,7 @@ def test_inverse_iterates_randomized_histories():
     rng = np.random.default_rng(17)
     for _ in range(1000):
         row = rng.integers(0, 5, size=12).tolist()
-        rows = triangle_rows(row)
+        rows = iterate_until(row, never, retain=True).rows
         for i, r in enumerate(rows):
             for d in (2, 3, 4):
                 runs = _maximal_multiple_runs(r, d)

@@ -169,7 +169,7 @@ def test_blocks_events_builds_only_the_rows_it_reads(capsys, monkeypatch, events
     assert code == 0
     # Reference: event j reads row 2*R**(j-1) (row 0 for j = 1) of the whole triangle.
     C, R = map(int, events.split(","))
-    rows = triangle.triangle_rows(row)
+    rows = triangle.iterate_until(row, triangle.never, retain=True).rows
     schedule = [0] + [2 * R ** (j - 1) for j in range(2, C - 1)]
     assert schedule[-1] == deepest
 

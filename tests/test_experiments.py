@@ -81,7 +81,7 @@ def test_sample_uniform_frequencies():
 
 
 def test_gap_sequence_construction():
-    seqs = sample_gap_sequence(4, 50, Schedule.constant(2), derive_trial_stream(0, 0))
+    seqs = sample_gap_sequence(4, 50, Schedule.parse("2"), derive_trial_stream(0, 0))
     assert seqs.shape == (4, 51)
     for seq in seqs:
         assert seq[0] == 2 and seq[1] == 3
@@ -90,12 +90,12 @@ def test_gap_sequence_construction():
         first_diff = np.abs(np.diff(seq))
         assert first_diff[0] == 1
         assert set(first_diff[1:].tolist()) <= {0, 2}
-    again = sample_gap_sequence(4, 50, Schedule.constant(2), derive_trial_stream(0, 0))
+    again = sample_gap_sequence(4, 50, Schedule.parse("2"), derive_trial_stream(0, 0))
     assert seqs.tolist() == again.tolist()
 
 
 def test_gap_sequence_degenerate():
-    seqs = sample_gap_sequence(2, 1, Schedule.constant(2), derive_trial_stream(0, 0))
+    seqs = sample_gap_sequence(2, 1, Schedule.parse("2"), derive_trial_stream(0, 0))
     assert seqs.tolist() == [[2, 3], [2, 3]]
 
 
@@ -163,7 +163,7 @@ def test_collapse_budget_respected():
 
 def test_leading_term_prime_prefix_behaviour():
     cfg = ExperimentConfig(kind="gap_leading_term", M=100, trials=5, seed=0,
-                           schedule=Schedule.constant(2))
+                           schedule=Schedule.parse("2"))
     trials, _ = run(cfg)
     # f = 2 gives a first iterate of 1, 2u_2, ...: stabilized immediately
     for t in trials:
@@ -175,7 +175,7 @@ def test_leading_term_prime_prefix_behaviour():
 
 def test_leading_term_wider_schedule():
     cfg = ExperimentConfig(kind="gap_leading_term", M=400, trials=20, seed=1,
-                           schedule=Schedule.constant(4))
+                           schedule=Schedule.parse("4"))
     trials, _ = run(cfg)
     finite = [t["m0"] for t in trials if t["m0"] is not None]
     assert len(finite) == 20  # desk-scale f=4 still settles
@@ -193,7 +193,7 @@ def test_leading_term_matches_exact_m0_distribution():
     assert sum(counts.values()) + null == total and null > 0
     assert 2 not in counts  # row 1 starts with the gap 3 - 2 = 1
     cfg = ExperimentConfig(kind="gap_leading_term", M=M, trials=trials, seed=0,
-                           schedule=Schedule.constant(f))
+                           schedule=Schedule.parse(str(f)))
     results, aggregate = run(cfg)
     half = sum(c for m, c in counts.items() if m <= M / 2)
     for exact, observed in [
@@ -215,7 +215,7 @@ def test_exact_m0_distribution_matches_the_experiment(monkeypatch):
     monkeypatch.setattr(experiments, "sample_gap_sequence",
                         lambda n, M, schedule, rng: np.resize(seqs, (n, M + 1)))
     results, _ = run(ExperimentConfig(kind="gap_leading_term", M=M, trials=len(u), seed=0,
-                                      schedule=Schedule.constant(f)))
+                                      schedule=Schedule.parse(str(f))))
     counts, null = exact_m0_distribution(f, M)
     assert Counter(t["m0"] for t in results) == counts + Counter({None: null})
 
@@ -287,9 +287,9 @@ SAMPLERS = {
                                              schedule=SCHEDULE),
                             lambda n, rng: sample_schedule(n, 50, SCHEDULE, rng)),
     "gap_leading_term": (ExperimentConfig(kind="gap_leading_term", M=50, trials=1, seed=4,
-                                          schedule=Schedule.constant(3)),
+                                          schedule=Schedule.parse("3")),
                          lambda n, rng: step_array(
-                             sample_gap_sequence(n, 50, Schedule.constant(3), rng))),
+                             sample_gap_sequence(n, 50, Schedule.parse("3"), rng))),
     "ultimate_zero": (ultimate_zero(3, 50, trials=1, seed=4),
                       lambda n, rng: sample_uniform(n, 50, 3, rng)),
 }
@@ -371,7 +371,7 @@ def test_run_memory_does_not_grow_with_trials():
 def test_next_trial_samples_with_the_last_row_freed(kind):
     def peak(trials):
         cfg = ExperimentConfig(kind=kind, M=100_000, trials=trials, seed=0, C=3, T=0,
-                               schedule=Schedule.constant(3))
+                               schedule=Schedule.parse("3"))
         tracemalloc.start()
         try:
             deque(run_experiment(cfg), maxlen=0)
@@ -403,7 +403,7 @@ VALID = ExperimentConfig(kind="uniform_collapse", M=5, trials=1, seed=0, C=3)
     (lambda: Schedule(((1, 2), (1, 3))), "schedule breakpoints must be strictly increasing"),
     (lambda: Schedule(((1, 2), (5, 3), (3, 4))),
      "schedule breakpoints must be strictly increasing"),
-    (lambda: Schedule.constant(3).values(np.array([0, 1])), "schedule queried below n = 1"),
+    (lambda: Schedule.parse("3").values(np.array([0, 1])), "schedule queried below n = 1"),
     (lambda: replace(VALID, M=0), "M (the depth, for ultimate-zero) must be >= 1"),
     (lambda: replace(VALID, trials=0), "trials must be >= 1"),
     (lambda: replace(VALID, seed=-1), "seed must be a non-negative integer"),
@@ -415,7 +415,7 @@ VALID = ExperimentConfig(kind="uniform_collapse", M=5, trials=1, seed=0, C=3)
     (lambda: derive_trial_stream(0, -1), "seed and block must be non-negative"),
     (lambda: wilson_interval(0, 0), "need at least one observation"),
     (lambda: sample_uniform(1, 0, 3, derive_trial_stream(0, 0)), "M must be >= 1"),
-    (lambda: sample_gap_sequence(1, 0, Schedule.constant(3), derive_trial_stream(0, 0)),
+    (lambda: sample_gap_sequence(1, 0, Schedule.parse("3"), derive_trial_stream(0, 0)),
      "M must be >= 1"),
     (lambda: exhaustive_ultimate_zero(3, 13),
      f"enumeration of 3**13 rows exceeds cap {EXHAUSTIVE_CAP}"),

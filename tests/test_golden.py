@@ -1,4 +1,5 @@
-"""Golden --out bytes: refactors must leave every record byte-identical.
+"""Golden --out and checkpoint bytes: refactors must leave every record and checkpoint
+byte-identical.
 
 Experiment records carry the CLI run_id, sha256 of command, params and seed.
 """
@@ -68,3 +69,14 @@ def test_out_bytes_match_golden(capsys, tmp_path, argv, digest):
     assert main([*argv, "--out", str(out)]) == 0
     capsys.readouterr()
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def test_checkpoint_bytes_match_golden(capsys, tmp_path):
+    out, ck = tmp_path / "out", tmp_path / "ck"
+    assert main(["primes", "--limit", "10000000", "--checkpoint", str(ck), "--checkpoint-every",
+                 "2", "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "485b2a3a4696d12ae8893282bf7d43d077c1101e20a1ee4b55d510b5144d54c2")
+    assert hashlib.sha256(ck.read_bytes()).hexdigest() == (
+        "2ba11a53b053b9dfb688ee8ca401774ae3782f152d1f61ed25a56d49ddcd025e")

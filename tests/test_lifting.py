@@ -15,7 +15,7 @@ from gilbreath.lifting import (
     preimages,
     verify_certificate,
 )
-from gilbreath.triangle import triangle_rows
+from gilbreath.triangle import iterate_until, never
 from oracles import diff_step
 
 EXOTIC_TOP = [2, 0, 6, 0, 2, 2, 6, 5, 0, 0, 6, 1, 3, 2, 2, 3, 0, 6, 0, 5]
@@ -90,7 +90,7 @@ def test_verify_certificate_exotic_golden():
     cert = ExoticCertificate(d=3, initial=tuple(EXOTIC_TOP), depth_checked=19,
                              first_pure_row=8)
     assert verify_certificate(cert)
-    assert triangle_rows(EXOTIC_TOP)[8] == EXOTIC_SEED
+    assert iterate_until(EXOTIC_TOP, never, retain=True).rows[8] == EXOTIC_SEED
 
 
 def test_verify_certificate_rejects_prime_row():

@@ -319,15 +319,16 @@ def test_killed_sieve_never_yields_a_verdict(monkeypatch):
 
 
 def test_failed_primes_run_reports_its_counters(capsys, monkeypatch):
-    # Each of the first two segments holds over 4,096 primes, so its frame
-    # passes the child's 8 kB write buffer and reaches the parent before the kill.
-    kill_child_at_third_segment(monkeypatch, 2**16)
-    assert main(["primes", "--limit", "1000000"]) == 1
-    err = capsys.readouterr().err
-    assert "ended before its stream" in err
-    stats = json.loads(err.splitlines()[-1])["stats"]
-    assert stats["segments"] == 2 and stats["child_peak_rss_mb"] is None
-    assert no_child_left()
+    # 1,000-number segments send frames far smaller than the child's write buffer.
+    for segment_size in (1000, 2**16):
+        with monkeypatch.context() as m:
+            kill_child_at_third_segment(m, segment_size)
+            assert main(["primes", "--limit", "1000000"]) == 1
+        err = capsys.readouterr().err
+        assert "ended before its stream" in err
+        stats = json.loads(err.splitlines()[-1])["stats"]
+        assert stats["segments"] == 2 and stats["child_peak_rss_mb"] is None, segment_size
+        assert no_child_left()
 
 
 def test_failed_checkpoint_write_leaves_no_temporary_file(tmp_path):

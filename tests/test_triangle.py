@@ -16,7 +16,6 @@ from gilbreath.triangle import (
     never,
     stabilization_predicate,
     step_array,
-    triangle_rows,
     ultimate_iterate,
     validate_row,
 )
@@ -155,8 +154,8 @@ def test_iterate_until_rejects_bad_array():
 
 def test_history_from_row_checks():
     row = [2, 3, 5, 7, 11, 13, 17]
-    assert triangle_rows(row) == brute_triangle(row)
-    assert triangle_rows(row, depth=2) == brute_triangle(row)[:3]
+    assert iterate_until(row, never, retain=True).rows == brute_triangle(row)
+    assert iterate_until(row, never, 2, retain=True).rows == brute_triangle(row)[:3]
 
 
 @given(rows2)
