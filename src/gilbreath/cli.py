@@ -10,16 +10,12 @@ minimal reproducer).
 
 from __future__ import annotations
 
-# numpy first: its OpenBLAS worker thread spins for tens of milliseconds after
-# it starts, and the imports below then overlap that spin instead of the command.
-import numpy as np
-
 import argparse
 import collections
-import contextlib
 import hashlib
 import json
 import os
+import random
 import secrets
 import sys
 import time
@@ -28,8 +24,15 @@ from fractions import Fraction
 from json.encoder import c_make_encoder, encode_basestring_ascii
 from typing import Iterable, Iterator
 
+# Nothing here calls BLAS, and an OpenBLAS worker thread started at numpy's
+# import would be copied by the primes sieve child's fork.  A user's value wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+import numpy as np
+
 from . import __version__, experiments, lifting, parity, primes, walks
 from .blocks import check_block_destruction, detect_event_cascade, longest_block
+from .files import write_file
 from .triangle import (
     Finding,
     all_in_zero_d,
@@ -128,8 +131,8 @@ _encode = c_make_encoder(None, _ENC.default, encode_basestring_ascii, _ENC.inden
                          _ENC.skipkeys, _ENC.allow_nan)
 
 
-def _stamp(command: str, seed: int, groups: list[Group]) -> Iterator[str]:
-    """The JSON lines of a handler's groups; a group's records share one run_id.
+def _stamp(command: str, seed: int, groups: list[Group]) -> Iterator[bytes]:
+    """The encoded JSON lines of a handler's groups; a group's records share one run_id.
 
     A record's keys sort as kind < params < result < run_id < seed, so each
     group's head and tail are encoded once and every result is spliced in
@@ -140,26 +143,7 @@ def _stamp(command: str, seed: int, groups: list[Group]) -> Iterator[str]:
         stamp = {"run_id": _run_id(command, params, seed), "seed": seed}
         tail = "," + "".join(_encode(stamp, 0))[1:] + "\n"
         for result in results:
-            yield head + "".join(_encode(result, 0)) + tail
-
-
-def _write_records(lines: Iterable[str], out: str) -> None:
-    """Write the lines to `out`.  A regular file appears only once every line is
-    written, by a rename from a temporary file beside it; an existing
-    non-regular file, such as /dev/null, is written directly."""
-    if os.path.exists(out) and not os.path.isfile(out):
-        with open(out, "w") as fh:
-            fh.writelines(lines)
-        return
-    target = os.path.realpath(out)
-    tmp = f"{target}.{os.getpid()}.tmp"
-    try:
-        with open(tmp, "w") as fh:
-            fh.writelines(lines)
-        os.replace(tmp, target)
-    finally:
-        with contextlib.suppress(FileNotFoundError):
-            os.remove(tmp)
+            yield (head + "".join(_encode(result, 0)) + tail).encode()
 
 
 def _manifest(subcommand: str, params: dict, seed: int, started: float, stats: dict) -> None:
@@ -261,8 +245,6 @@ def _cmd_blocks(args, stats: dict) -> list[Group]:
 
 def _build_graph(args, rng_seed: int) -> tuple[walks.RegularDigraph, np.ndarray, dict, str]:
     """The graph, its red mask, its record params, and a stdout line about it ('' if none)."""
-    import random as _random
-
     _require(args.targets is None or args.debruijn is not None, "--targets needs --debruijn")
     _require(args.red_fraction is None or args.random_graph is not None,
              "--red-fraction needs --random")
@@ -289,7 +271,7 @@ def _build_graph(args, rng_seed: int) -> tuple[walks.RegularDigraph, np.ndarray,
     n, d = args.random_graph
     red_fraction = 0.5 if args.red_fraction is None else args.red_fraction
     _require(0 <= red_fraction <= 1, f"--red-fraction must lie in [0, 1], not {red_fraction}")
-    rng = _random.Random(rng_seed)
+    rng = random.Random(rng_seed)
     g = walks.random_regular_digraph(n, d, rng)
     red = walks.random_coloring(n, rng, red_fraction)
     return g, red, {"random": [n, d], "red_fraction": red_fraction}, ""
@@ -364,8 +346,6 @@ def _cmd_primes(args, stats: dict) -> list[Group]:
 
 
 def _cmd_exotic(args, stats: dict) -> list[Group]:
-    import random as _random
-
     if args.verify is not None:
         _require(args.cap is None and args.width is None, "--verify takes no --cap or --width")
         with open(args.verify) as fh:
@@ -378,7 +358,7 @@ def _cmd_exotic(args, stats: dict) -> list[Group]:
         return [("exotic_verify", params, [result])]
     _require(args.cap is not None and args.width is not None, "--seed-row needs --cap and --width")
     cert = lifting.lift_search(args.seed_row, args.cap, args.width, args.budget,
-                               _random.Random(args.seed))
+                               random.Random(args.seed))
     params = {"seed_row": args.seed_row, "cap": args.cap, "width": args.width,
               "budget": args.budget}
     if cert is None:
@@ -525,7 +505,7 @@ def main(argv: list[str] | None = None) -> int:
             for _, _, results in groups:
                 collections.deque(results, maxlen=0)
         else:
-            _write_records(_stamp(args.command, args.seed, groups), args.out)
+            write_file(args.out, _stamp(args.command, args.seed, groups))
     except Finding as finding:
         print(f"FINDING: {finding}", file=sys.stderr)
         print(json.dumps({"finding": str(finding), "reproducer": finding.reproducer},

@@ -203,22 +203,17 @@ def sample_schedule(n: int, M: int, schedule: Schedule, stream: np.random.Genera
     return stream.integers(0, highs, size=(n, M), dtype=np.int64)
 
 
-def sample_gap_sequence(n: int, M: int, schedule: Schedule,
-                        stream: np.random.Generator) -> np.ndarray:
-    """n rows (a_1,...,a_{M+1}) with a_1 = 2, a_2 = 3, a_{k+1} = a_k + 2*u_k and
-    u_k uniform on {0,...,f(k)-1} for k = 2..M, an (n, M + 1) array."""
+def sample_gaps(n: int, M: int, schedule: Schedule, stream: np.random.Generator) -> np.ndarray:
+    """n rows (1, 2*u_2, ..., 2*u_M) with u_k uniform on {0,...,f(k)-1}, an (n, M)
+    array: row 1 of the triangle of a_1 = 2, a_2 = 3, a_{k+1} = a_k + 2*u_k."""
     if M < 1:
         raise ValueError("M must be >= 1")
-    out = np.empty((n, M + 1), dtype=np.int64)
-    out[:, 0] = 2
-    out[:, 1] = 3
+    out = np.empty((n, M), dtype=np.int64)
+    out[:, 0] = 1
     if M > 1:
-        # u dies when this returns, before the caller draws its next block.
         highs = schedule.values(np.arange(2, M + 1))
-        u = stream.integers(0, highs, size=(n, M - 1), dtype=np.int64)
-        np.cumsum(u, axis=1, out=out[:, 2:])
-        out[:, 2:] *= 2
-        out[:, 2:] += 3
+        out[:, 1:] = stream.integers(0, highs, size=(n, M - 1), dtype=np.int64)
+        out[:, 1:] *= 2
     return out
 
 
@@ -231,7 +226,7 @@ def _blocks(cfg: ExperimentConfig) -> Iterator[tuple[range, np.ndarray]]:
     for block in cfg.streams:
         rng = derive_trial_stream(cfg.seed, block)
         if cfg.kind == "gap_leading_term":
-            rows = sample_gap_sequence(per, cfg.M, cfg.schedule, rng)
+            rows = sample_gaps(per, cfg.M, cfg.schedule, rng)
         elif cfg.kind == "increasing_alphabet":
             rows = sample_schedule(per, cfg.M, cfg.schedule, rng)
         elif cfg.weights:
@@ -301,7 +296,7 @@ def _leading_term_results(cfg: ExperimentConfig) -> Iterator[dict]:
         # Rows 1..M of the triangle; a length-1 row is stable iff it is [1].  The
         # stop rule is looked up in `triangle` and the closure check below in this
         # module, so that either can be replaced alone.
-        res = iterate_until(step_array(row), triangle.stabilization_predicate, cfg.M - 1)
+        res = iterate_until(row, triangle.stabilization_predicate, cfg.M - 1)
         m0 = None
         if res.reason == "stop":
             # Spot-check the closure that justifies stopping early.

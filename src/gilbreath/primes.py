@@ -25,6 +25,7 @@ from typing import BinaryIO, Iterator, NamedTuple
 
 import numpy as np
 
+from .files import write_file
 from .triangle import iterate_until, never, stabilization_predicate, zero_or_two
 
 CHECKPOINT_MAGIC = b"GILB"
@@ -124,19 +125,7 @@ class Checkpoint(NamedTuple):
 def _write_checkpoint(path: str, ck: Checkpoint) -> None:
     header = struct.pack(CHECKPOINT_HEADER, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, *ck[:-1])
     payload = ck.tail.astype("<u2").tobytes()
-    digest = hashlib.sha256(header + payload).digest()
-    # Write beside it and rename, so a crash never leaves a torn checkpoint;
-    # a write or rename that fails leaves no temporary file behind.
-    tmp = f"{path}.tmp"
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(header + digest + payload)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-    finally:
-        with contextlib.suppress(FileNotFoundError):
-            os.remove(tmp)
+    write_file(path, (header, hashlib.sha256(header + payload).digest(), payload))
 
 
 def load_checkpoint(path: str) -> Checkpoint:

@@ -2,6 +2,8 @@ import json
 import math
 import os
 import shlex
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -683,6 +685,18 @@ def test_threads_env_fallback(capsys, tmp_path, monkeypatch):
     monkeypatch.delenv("GILBREATH_THREADS")
     assert run(capsys, *args, "--out", str(f2))[0] == 0
     assert f1.read_bytes() == f2.read_bytes()
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")
+def test_import_starts_no_thread():
+    # OpenBLAS would start a worker thread at numpy's import, and fork would copy it.
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = "import os, gilbreath.cli; print(len(os.listdir('/proc/self/task')))"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=60, check=True)
+    assert done.stdout.split() == ["1"]
 
 
 def readme_examples() -> list[list[str]]:

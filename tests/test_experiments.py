@@ -16,12 +16,12 @@ from gilbreath.experiments import (
     derived_seed,
     exhaustive_ultimate_zero,
     run_experiment,
-    sample_gap_sequence,
+    sample_gaps,
     sample_schedule,
     sample_uniform,
     wilson_interval,
 )
-from gilbreath.triangle import batch_ultimate, enumerate_rows, step_array
+from gilbreath.triangle import batch_ultimate, enumerate_rows
 from oracles import exact_m0_distribution, ultimate_iterate
 
 
@@ -81,22 +81,18 @@ def test_sample_uniform_frequencies():
 
 
 def test_gap_sequence_construction():
-    seqs = sample_gap_sequence(4, 50, Schedule.parse("2"), derive_trial_stream(0, 0))
-    assert seqs.shape == (4, 51)
-    for seq in seqs:
-        assert seq[0] == 2 and seq[1] == 3
-        steps = np.diff(seq[1:])
-        assert set(steps.tolist()) <= {0, 2}
-        first_diff = np.abs(np.diff(seq))
-        assert first_diff[0] == 1
-        assert set(first_diff[1:].tolist()) <= {0, 2}
-    again = sample_gap_sequence(4, 50, Schedule.parse("2"), derive_trial_stream(0, 0))
-    assert seqs.tolist() == again.tolist()
+    rows = sample_gaps(4, 50, Schedule.parse("2"), derive_trial_stream(0, 0))
+    assert rows.shape == (4, 50)
+    for row in rows:
+        assert row[0] == 1
+        assert set(row[1:].tolist()) <= {0, 2}
+    again = sample_gaps(4, 50, Schedule.parse("2"), derive_trial_stream(0, 0))
+    assert rows.tolist() == again.tolist()
 
 
 def test_gap_sequence_degenerate():
-    seqs = sample_gap_sequence(2, 1, Schedule.parse("2"), derive_trial_stream(0, 0))
-    assert seqs.tolist() == [[2, 3], [2, 3]]
+    rows = sample_gaps(2, 1, Schedule.parse("2"), derive_trial_stream(0, 0))
+    assert rows.tolist() == [[1], [1]]
 
 
 def test_derived_streams_differ():
@@ -209,11 +205,10 @@ def test_exact_m0_distribution_matches_the_experiment(monkeypatch):
     # Feed the experiment every gap sequence once, in place of its sampler.
     f, M = 3, 7
     u = enumerate_rows(f, M - 1)
-    first_two = np.tile([2, 3], (len(u), 1))
-    seqs = np.hstack([first_two, 3 + 2 * np.cumsum(u, axis=1)])
+    rows = np.hstack([np.ones((len(u), 1), dtype=np.int64), 2 * u])
     # One stream block covers every trial; the block's rows past them are dropped.
-    monkeypatch.setattr(experiments, "sample_gap_sequence",
-                        lambda n, M, schedule, rng: np.resize(seqs, (n, M + 1)))
+    monkeypatch.setattr(experiments, "sample_gaps",
+                        lambda n, M, schedule, rng: np.resize(rows, (n, M)))
     results, _ = run(ExperimentConfig(kind="gap_leading_term", M=M, trials=len(u), seed=0,
                                       schedule=Schedule.parse(str(f))))
     counts, null = exact_m0_distribution(f, M)
@@ -288,8 +283,7 @@ SAMPLERS = {
                             lambda n, rng: sample_schedule(n, 50, SCHEDULE, rng)),
     "gap_leading_term": (ExperimentConfig(kind="gap_leading_term", M=50, trials=1, seed=4,
                                           schedule=Schedule.parse("3")),
-                         lambda n, rng: step_array(
-                             sample_gap_sequence(n, 50, Schedule.parse("3"), rng))),
+                         lambda n, rng: sample_gaps(n, 50, Schedule.parse("3"), rng)),
     "ultimate_zero": (ultimate_zero(3, 50, trials=1, seed=4),
                       lambda n, rng: sample_uniform(n, 50, 3, rng)),
 }
@@ -415,7 +409,7 @@ VALID = ExperimentConfig(kind="uniform_collapse", M=5, trials=1, seed=0, C=3)
     (lambda: derive_trial_stream(0, -1), "seed and block must be non-negative"),
     (lambda: wilson_interval(0, 0), "need at least one observation"),
     (lambda: sample_uniform(1, 0, 3, derive_trial_stream(0, 0)), "M must be >= 1"),
-    (lambda: sample_gap_sequence(1, 0, Schedule.parse("3"), derive_trial_stream(0, 0)),
+    (lambda: sample_gaps(1, 0, Schedule.parse("3"), derive_trial_stream(0, 0)),
      "M must be >= 1"),
     (lambda: exhaustive_ultimate_zero(3, 13),
      f"enumeration of 3**13 rows exceeds cap {EXHAUSTIVE_CAP}"),

@@ -334,8 +334,20 @@ def test_failed_primes_run_reports_its_counters(capsys, monkeypatch):
 def test_failed_checkpoint_write_leaves_no_temporary_file(tmp_path):
     with pytest.raises(IsADirectoryError):
         verify_gilbreath(10**5, checkpoint_path=str(tmp_path), checkpoint_every=1)
-    assert not os.path.exists(f"{tmp_path}.tmp")
+    assert not list(tmp_path.parent.glob(f"{tmp_path.name}*.tmp"))
     assert no_child_left()
+
+
+def test_checkpoint_through_a_symlink_writes_its_target(tmp_path):
+    real, link = tmp_path / "real.ck", tmp_path / "ck"
+    link.symlink_to(real)
+    argv = ["primes", "--limit", "100000", "--checkpoint", str(link), "--checkpoint-every", "1"]
+    assert main(argv + ["--out", str(tmp_path / "a.jsonl")]) == 0
+    assert link.is_symlink() and load_checkpoint(str(real)).limit == 100000
+    assert main(argv + ["--resume", "--out", str(tmp_path / "b.jsonl")]) == 0
+    assert link.is_symlink()
+    assert (tmp_path / "a.jsonl").read_bytes() == (tmp_path / "b.jsonl").read_bytes()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.jsonl", "b.jsonl", "ck", "real.ck"]
 
 
 def test_frame_cut_short_never_yields_a_verdict(monkeypatch):
