@@ -187,6 +187,7 @@ def _cmd_triangle(args, stats: dict) -> list[Group]:
 
 def _cmd_parity(args, stats: dict) -> list[Group]:
     groups = []
+    _require(args.depths is None or args.prob_even is not None, "--depths needs --prob-even")
     if args.depth is not None:
         m = parity.mask(args.depth)
         members = sorted(m.members)
@@ -195,7 +196,7 @@ def _cmd_parity(args, stats: dict) -> list[Group]:
         print(f"J_{args.depth}: {members} (size {m.size})")
         groups.append(("parity_mask", params, [result]))
     if args.prob_even is not None:
-        (c_lo, c_hi), (i_lo, i_hi) = args.prob_even, args.depths
+        (c_lo, c_hi), (i_lo, i_hi) = args.prob_even, args.depths or (1, 64)
         _require(c_lo <= c_hi and i_lo <= i_hi, "--prob-even and --depths need MIN <= MAX")
         probs = []
         for C in range(c_lo, c_hi + 1):
@@ -348,6 +349,7 @@ def _cmd_primes(args, stats: dict) -> list[Group]:
 def _cmd_exotic(args, stats: dict) -> list[Group]:
     if args.verify is not None:
         _require(args.cap is None and args.width is None, "--verify takes no --cap or --width")
+        _require(args.budget is None, "--verify takes no --budget")
         with open(args.verify) as fh:
             cert = lifting.ExoticCertificate.from_record(fh.read())
         ok = lifting.verify_certificate(cert)
@@ -357,10 +359,9 @@ def _cmd_exotic(args, stats: dict) -> list[Group]:
         result = {"valid": ok, "d": cert.d, "first_pure_row": cert.first_pure_row}
         return [("exotic_verify", params, [result])]
     _require(args.cap is not None and args.width is not None, "--seed-row needs --cap and --width")
-    cert = lifting.lift_search(args.seed_row, args.cap, args.width, args.budget,
-                               random.Random(args.seed))
-    params = {"seed_row": args.seed_row, "cap": args.cap, "width": args.width,
-              "budget": args.budget}
+    budget = 100_000 if args.budget is None else args.budget
+    cert = lifting.lift_search(args.seed_row, args.cap, args.width, budget, random.Random(args.seed))
+    params = {"seed_row": args.seed_row, "cap": args.cap, "width": args.width, "budget": budget}
     if cert is None:
         print("none found within budget")
         result: dict = {"found": False}
@@ -394,8 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("parity", help="parity masks and even-probability tables")
     p.add_argument("--depth", type=int, help="emit the mask at this depth")
     p.add_argument("--prob-even", type=int_pair, help="alphabet range 'CMIN,CMAX' for the table")
-    p.add_argument("--depths", type=int_pair, default="1,64",
-                   help="depth range 'IMIN,IMAX' (default 1,64)")
+    p.add_argument("--depths", type=int_pair, help="depth range 'IMIN,IMAX' (default 1,64)")
     common(p)
 
     p = sub.add_parser("blocks", help="block reports and block-lemma checks")
@@ -471,7 +471,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="verify the JSONL exotic_search record that --out wrote")
     p.add_argument("--cap", type=int, help="alphabet cap for lifted entries")
     p.add_argument("--width", type=int, help="target initial-row width")
-    p.add_argument("--budget", type=int, default=100_000, help="DFS node budget")
+    p.add_argument("--budget", type=int, help="DFS node budget (default 100000)")
     common(p)
 
     return parser
@@ -495,11 +495,14 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args.seed = _resolve_seed(args.seed)
         # Fail before the handler: a primes run can take minutes before it writes.
+        targets = set()
         for option in ("out", "checkpoint"):
             if (path := getattr(args, option, None)) is not None:
                 target = os.path.realpath(path)
                 _require(os.path.isdir(os.path.dirname(target)) and not os.path.isdir(target),
                          f"--{option} {path}: not a file in an existing directory")
+                _require(target not in targets, "--out and --checkpoint name the same file")
+                targets.add(target)
         groups = _HANDLERS[args.command](args, stats)
         if args.out is None:  # drain the results (an experiment prints at the end); encode none
             for _, _, results in groups:

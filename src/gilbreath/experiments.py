@@ -32,7 +32,9 @@ from .triangle import (
     step_array,
 )
 
-KINDS = ("uniform_collapse", "gap_leading_term", "increasing_alphabet", "ultimate_zero")
+# The options each kind reads besides M, trials, seed and trial_offset; the first is required.
+KINDS = {"uniform_collapse": ("C", "T", "weights"), "increasing_alphabet": ("schedule", "T"),
+         "gap_leading_term": ("schedule",), "ultimate_zero": ("C",)}
 
 EXHAUSTIVE_CAP = 3**12
 
@@ -100,7 +102,7 @@ class ExperimentConfig:
     trial_offset: int = 0
 
     def __post_init__(self) -> None:
-        if self.kind not in KINDS:
+        if (reads := KINDS.get(self.kind)) is None:
             raise ValueError(f"unknown experiment kind {self.kind!r}")
         if self.M < 1:
             raise ValueError("M (the depth, for ultimate-zero) must be >= 1")
@@ -110,16 +112,17 @@ class ExperimentConfig:
             raise ValueError("seed must be a non-negative integer")
         if self.trial_offset < 0:
             raise ValueError("trial_offset must be >= 0")
-        if self.kind in ("uniform_collapse", "ultimate_zero"):
-            if self.C is None or self.C < 2:
-                raise ValueError("alphabet size C >= 2 required")
-        if self.kind in ("gap_leading_term", "increasing_alphabet"):
-            if self.schedule is None:
-                raise ValueError("alphabet schedule required")
+        if unread := [name for name in ("C", "schedule", "T", "weights")
+                      if name not in reads and getattr(self, name) is not None]:
+            raise ValueError(f"{self.kind} does not read {', '.join(unread)}")
+        if getattr(self, reads[0]) is None:
+            raise ValueError(f"{self.kind} needs {reads[0]}")
+        if self.C is not None and self.C < 2:
+            raise ValueError("alphabet size C >= 2 required")
         if self.T is not None and self.T < 0:
             raise ValueError("iteration budget must be >= 0")
         if self.weights is not None:
-            if self.C is None or len(self.weights) != self.C:
+            if len(self.weights) != self.C:
                 raise ValueError("weights must give one entry per symbol")
             if any(w <= 0 for w in self.weights):
                 raise ValueError("weights must be positive")
@@ -227,7 +230,7 @@ def _blocks(cfg: ExperimentConfig) -> Iterator[tuple[range, np.ndarray]]:
         rng = derive_trial_stream(cfg.seed, block)
         if cfg.kind == "gap_leading_term":
             rows = sample_gaps(per, cfg.M, cfg.schedule, rng)
-        elif cfg.kind == "increasing_alphabet":
+        elif cfg.schedule is not None:
             rows = sample_schedule(per, cfg.M, cfg.schedule, rng)
         elif cfg.weights:
             rows = rng.choice(cfg.C, size=(per, cfg.M), p=cfg.weights)

@@ -230,24 +230,25 @@ def _sieved_gaps(
             os.close(w)
             signal.pthread_sigmask(signal.SIG_SETMASK, mask)
 
-        def read(n: int) -> bytes:
+        def read(buf):
+            """Fill `buf` from the pipe and return it: the gaps land in their array, uncopied."""
             nonlocal wait_s
             t0 = time.perf_counter()
-            data = pipe.read(n)  # a buffered read comes back short only at EOF
+            n = pipe.readinto(buf)  # a buffered read comes back short only at EOF
             wait_s += time.perf_counter() - t0
-            if len(data) < n:
+            if n < memoryview(buf).nbytes:
                 raise ChildProcessError(f"sieve process {pid} ended before its stream")
-            return data
+            return buf
 
         while True:
-            count, value = FRAME.unpack(read(FRAME.size))
+            count, value = FRAME.unpack(read(bytearray(FRAME.size)))
             if count == FRAME_END:
                 finished = True
                 return
             if count == FRAME_ERROR:
-                raise ValueError(read(value).decode())
+                raise ValueError(read(bytearray(value)).decode())
             frames += 1
-            yield value, np.frombuffer(read(2 * count), dtype=np.uint16)
+            yield value, read(np.empty(count, np.uint16))
     finally:
         if pid and not finished:
             os.kill(pid, signal.SIGKILL)

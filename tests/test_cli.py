@@ -120,6 +120,16 @@ def parsers(parser):
                 yield from parsers(sub)
 
 
+@pytest.mark.parametrize("kind", experiments.KINDS)
+def test_an_experiment_subparser_declares_the_options_its_kind_reads(kind):
+    (parser,) = [p for p in parsers(cli.build_parser()) if p.get_default("kind") == kind]
+    shared = {"help", "M", "trials", "trial_offset", "seed", "out"}
+    own = [("schedule" if a.dest == "f" else a.dest, a.required)
+           for a in parser._actions if a.dest not in shared]
+    assert tuple(name for name, _ in own) == experiments.KINDS[kind]
+    assert [name for name, required in own if required] == [experiments.KINDS[kind][0]]
+
+
 def test_every_help_renders():
     # argparse formats help only when it is shown, so a bad help string fails only then.
     found = list(parsers(cli.build_parser()))
@@ -307,6 +317,8 @@ def test_nothing_to_do_exits_1(capsys, argv, message):
     (("exotic", "--verify", "c.jsonl", "--cap", "6"), "error: --verify takes no --cap or --width"),
     (("exotic", "--verify", "c.jsonl", "--width", "16"),
      "error: --verify takes no --cap or --width"),
+    (("exotic", "--verify", "c.jsonl", "--budget", "5"), "error: --verify takes no --budget"),
+    (("parity", "--depth", "4", "--depths", "1,3"), "error: --depths needs --prob-even"),
     (("exotic", "--seed-row", "0,3", "--cap", "3"),
      "error: --seed-row needs --cap and --width"),
     (("exotic", "--verify", "c.jsonl", "--seed-row", "0,3"),
@@ -314,8 +326,9 @@ def test_nothing_to_do_exits_1(capsys, argv, message):
     (("exotic", "--cap", "3", "--width", "4"),
      "error: one of the arguments --seed-row --verify is required"),
 ], ids=["targets-without-debruijn", "red-fraction-without-random", "witness-without-allowed",
-        "d-without-zero-d", "verify-with-cap", "verify-with-width", "search-without-width",
-        "verify-and-seed-row", "neither-verify-nor-seed-row"])
+        "d-without-zero-d", "verify-with-cap", "verify-with-width", "verify-with-budget",
+        "depths-without-prob-even", "search-without-width", "verify-and-seed-row",
+        "neither-verify-nor-seed-row"])
 def test_option_the_run_does_not_read_exits_1(capsys, argv, message):
     code, out, err = run(capsys, *argv)
     assert code == 1 and not out and message in err
@@ -542,6 +555,23 @@ def test_checkpoint_outside_an_existing_directory_exits_1_before_the_run(capsys,
     assert f"error: --checkpoint {checkpoint}: " in err
     assert json.loads(err.splitlines()[-1])["stats"] == {}
     assert [p.name for p in tmp_path.iterdir()] == ["ck"] and not any((tmp_path / "ck").iterdir())
+
+
+@pytest.mark.parametrize("link", [False, True])
+def test_out_and_checkpoint_naming_one_file_exit_1_before_the_run(capsys, tmp_path, link):
+    # Else the record would overwrite the checkpoint, and a later --resume would refuse it.
+    checkpoint = os.path.join(tmp_path, "same.x")
+    out_file = checkpoint
+    if link:
+        out_file = os.path.join(tmp_path, "link")
+        os.symlink(checkpoint, out_file)
+    code, out, err = run(capsys, "primes", "--limit", "1000", "--checkpoint", checkpoint,
+                         "--checkpoint-every", "1", "--out", out_file)
+    assert code == 1
+    assert "verified" not in out
+    assert "error: --out and --checkpoint name the same file" in err
+    assert json.loads(err.splitlines()[-1])["stats"] == {}
+    assert not os.path.exists(checkpoint)
 
 
 @pytest.mark.parametrize("argv, code", [

@@ -10,6 +10,7 @@ import pytest
 from gilbreath import experiments
 from gilbreath.experiments import (
     EXHAUSTIVE_CAP,
+    KINDS,
     ExperimentConfig,
     Schedule,
     derive_trial_stream,
@@ -62,6 +63,30 @@ def test_config_validation():
     with pytest.raises(ValueError):
         ExperimentConfig(kind="uniform_collapse", M=10, trials=5, seed=0, C=3,
                          weights=(0.5, 0.4, 0.2))
+
+
+OPTION_VALUES = {"C": 3, "schedule": Schedule.parse("3"), "T": 2, "weights": (0.8, 0.1, 0.1)}
+
+
+def own_options(kind):
+    return {name: OPTION_VALUES[name] for name in KINDS[kind]}
+
+
+@pytest.mark.parametrize("kind, name", [(kind, name) for kind in KINDS for name in OPTION_VALUES
+                                        if name not in KINDS[kind]])
+def test_an_option_the_kind_does_not_read_is_refused(kind, name):
+    options = {**own_options(kind), name: OPTION_VALUES[name]}
+    with pytest.raises(ValueError, match=f"^{kind} does not read {name}$"):
+        ExperimentConfig(kind=kind, M=8, trials=1, seed=0, **options)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_a_kind_takes_its_own_options_and_needs_the_first(kind):
+    ExperimentConfig(kind=kind, M=8, trials=1, seed=0, **own_options(kind))
+    required, *rest = KINDS[kind]
+    options = {name: OPTION_VALUES[name] for name in rest}
+    with pytest.raises(ValueError, match=f"^{kind} needs {required}$"):
+        ExperimentConfig(kind=kind, M=8, trials=1, seed=0, **options)
 
 
 def test_sample_uniform_deterministic():
@@ -363,9 +388,12 @@ def test_run_memory_does_not_grow_with_trials():
 
 @pytest.mark.parametrize("kind", ["uniform_collapse", "increasing_alphabet", "gap_leading_term"])
 def test_next_trial_samples_with_the_last_row_freed(kind):
+    options = {"uniform_collapse": {"C": 3, "T": 0},
+               "increasing_alphabet": {"schedule": Schedule.parse("3"), "T": 0},
+               "gap_leading_term": {"schedule": Schedule.parse("3")}}[kind]
+
     def peak(trials):
-        cfg = ExperimentConfig(kind=kind, M=100_000, trials=trials, seed=0, C=3, T=0,
-                               schedule=Schedule.parse("3"))
+        cfg = ExperimentConfig(kind=kind, M=100_000, trials=trials, seed=0, **options)
         tracemalloc.start()
         try:
             deque(run_experiment(cfg), maxlen=0)
