@@ -26,10 +26,10 @@ from .triangle import (
     Finding,
     all_le_one,
     batch_ultimate,
-    enumerate_rows,
     iterate_until,
     stabilization_predicate,
     step_array,
+    ultimate_law,
 )
 
 # The options each kind reads besides M, trials, seed and trial_offset; the first is required.
@@ -330,18 +330,17 @@ def _leading_term_results(cfg: ExperimentConfig) -> Iterator[dict]:
 
 
 def exhaustive_ultimate_zero(C: int, depth: int) -> Fraction:
-    """Exact Pr(ultimate iterate = 0) for i.i.d. uniform rows of length `depth`,
-    by full enumeration of all C**depth rows."""
+    """Exact Pr(ultimate iterate = 0) for i.i.d. uniform rows of length `depth`: entry 0 of
+    `ultimate_law`, whose right-edge DP counts all C**depth rows without building them."""
     if C**depth > EXHAUSTIVE_CAP:
         raise ValueError(f"enumeration of {C}**{depth} rows exceeds cap {EXHAUSTIVE_CAP}")
-    values = batch_ultimate(enumerate_rows(C, depth))
-    return Fraction(int((values == 0).sum()), C**depth)
+    return Fraction(int(ultimate_law(C, depth)[0]), C**depth)
 
 
 def _ultimate_zero_results(cfg: ExperimentConfig) -> Iterator[dict]:
     """Monte Carlo Pr(ultimate iterate = 0) for uniform rows of length M, with the
-    uniform-bound reference 1/(200*C**2); the exhaustive value is attached
-    whenever C**M is small.  One `batch_ultimate` call per stream block."""
+    uniform-bound reference 1/(200*C**2); `exhaustive_ultimate_zero`, a DP that builds no
+    row, is attached whenever C**M <= EXHAUSTIVE_CAP.  One `batch_ultimate` call per block."""
     C, depth = cfg.C, cfg.M
     zeros = 0
     for indices, rows in _blocks(cfg):

@@ -69,6 +69,32 @@ def enumerate_rows(alphabet: int, length: int) -> np.ndarray:
     return np.indices((alphabet,) * length, dtype=np.int64).reshape(length, alphabet**length).T
 
 
+def ultimate_law(C: int, L: int) -> np.ndarray:
+    """How many of the C**L rows over {0,...,C-1} have each ultimate iterate 0..C-1, by a DP
+    over right edges: after k symbols a row's edge (d_1..d_k), d_r the last entry of its row r,
+    is packed base C (d_1 lowest) in one int64.  Symbol a gives d'_1 = a and
+    d'_{r+1} = |d_r - d'_r|; equal edges merge their counts, and d_L is the ultimate iterate."""
+    if C < 2 or L < 1 or C**L >= 2**63:
+        raise ValueError(f"ultimate_law needs C >= 2, L >= 1, C**L < 2**63; got C = {C}, L = {L}")
+    keys, counts, law = np.zeros(1, np.int64), np.ones(1, np.int64), np.zeros(C, np.int64)
+    for k in range(L):  # one (symbol, edge) pair per entry, symbol-major
+        build = k < L - 1  # the last symbol needs d_L alone, not its edge's key
+        d = np.arange(C, dtype=np.int64).repeat(len(keys))
+        rest, counts, keys = np.tile(keys, C), np.tile(counts, C), d.copy() if build else None
+        for r in range(1, k + 1):
+            rest, old = np.divmod(rest, C)
+            d = np.abs(old - d)
+            if build:
+                keys += d * C**r
+        if build:
+            order = np.argsort(keys)
+            keys, counts = keys[order], counts[order]
+            starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
+            keys, counts = keys[starts], np.add.reduceat(counts, starts)
+    np.add.at(law, d, counts)
+    return law
+
+
 # Stop rules for `iterate_until`: predicates on a 1-D array row.
 
 

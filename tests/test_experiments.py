@@ -255,6 +255,18 @@ def test_ultimate_zero_matches_exhaustive_3se():
     assert abs(aggregate["estimate"] - exact) <= 3 * se
 
 
+def test_exhaustive_ultimate_zero_builds_no_row():
+    # All 3**12 rows as int64 would take 51 MB; the right-edge DP peaks near 2.2 MB.
+    exhaustive_ultimate_zero(3, 4)  # warm up lazy imports outside the measurement
+    tracemalloc.start()
+    try:
+        assert exhaustive_ultimate_zero(3, 12) == Fraction(263713, 531441)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6, f"{peak / 1e6:.1f} MB"
+
+
 def test_records_are_schedule_independent():
     def trial_records(offset, trials):
         cfg = ExperimentConfig(kind="uniform_collapse", M=300, trials=trials, seed=9, C=3,
@@ -276,10 +288,10 @@ def test_ultimate_zero_blocks_match_one_block(monkeypatch):
     monkeypatch.setattr(experiments, "batch_ultimate", spy)
     cfg = ultimate_zero(3, 10, trials=50, seed=5, trial_offset=7)
     trials, _ = run(cfg)
-    # Trials 7..56 fall in blocks 1..9; then the exhaustive 3**10 enumeration.
+    # Trials 7..56 fall in blocks 1..9; the exact value calls no batch_ultimate.
     assert cfg.streams == range(1, 10)
-    assert [len(b) for b in batches[:-1]] == [5] + [6] * 7 + [3]
-    rows = np.concatenate(batches[:-1])
+    assert [len(b) for b in batches] == [5] + [6] * 7 + [3]
+    rows = np.concatenate(batches)
     assert [t["trial_index"] for t in trials] == list(range(7, 57))
     assert [t["ultimate_value"] for t in trials] == [ultimate_iterate(r) for r in rows.tolist()]
 
@@ -441,10 +453,12 @@ VALID = ExperimentConfig(kind="uniform_collapse", M=5, trials=1, seed=0, C=3)
      "M must be >= 1"),
     (lambda: exhaustive_ultimate_zero(3, 13),
      f"enumeration of 3**13 rows exceeds cap {EXHAUSTIVE_CAP}"),
+    (lambda: exhaustive_ultimate_zero(3, 0), "got C = 3, L = 0"),
+    (lambda: exhaustive_ultimate_zero(0, 2), "got C = 0, L = 2"),
 ], ids=["schedule-repeated-start", "schedule-decreasing-start", "schedule-below-1", "config-M",
         "config-trials", "config-seed", "config-trial-offset", "config-T", "weights-length",
         "weights-non-positive", "stream-seed", "stream-block", "wilson-n", "uniform-M",
-        "gap-sequence-M", "exhaustive-cap"])
+        "gap-sequence-M", "exhaustive-cap", "exhaustive-length-0", "exhaustive-C-0"])
 def test_bad_arguments_name_the_input(call, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         call()

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gilbreath.parity import prob_even
 from gilbreath.triangle import (
     all_in_zero_d,
     all_le_one,
@@ -17,6 +18,7 @@ from gilbreath.triangle import (
     stabilization_predicate,
     step_array,
     ultimate_iterate,
+    ultimate_law,
     validate_row,
 )
 import oracles
@@ -212,6 +214,32 @@ def test_enumerate_rows_is_itertools_product(C, length):
     assert mat.tolist() == [list(t) for t in product(range(C), repeat=length)]
 
 
+@pytest.mark.parametrize("C, length", [(C, L) for C in range(2, 8) for L in range(1, 11)
+                                        if C**L <= 3**10] + [(81, 3)])
+def test_ultimate_law_is_the_enumerated_law(C, length):
+    # The right-edge DP against every row reduced by batch_ultimate; at L = 1 and at
+    # (81, 3) few or no right edges merge.
+    law = ultimate_law(C, length)
+    assert law.dtype == np.int64
+    enumerated = np.bincount(batch_ultimate(enumerate_rows(C, length)), minlength=C)
+    assert law.tolist() == enumerated.tolist()
+
+
+def test_ultimate_law_beyond_the_cap_matches_sampled_rows():
+    # 3**16 rows are past EXHAUSTIVE_CAP; 20,000 uniform rows reduced by batch_ultimate
+    # share no code with the DP.
+    p = ultimate_law(3, 16)[0] / 3**16
+    zeros = (batch_ultimate(np.random.default_rng(16).integers(0, 3, (20_000, 16))) == 0).mean()
+    assert abs(zeros - p) <= 5 * (p * (1 - p) / 20_000) ** 0.5
+
+
+@pytest.mark.parametrize("C", [3, 4, 5])
+def test_ultimate_zero_is_at_most_the_even_probability(C):
+    # An ultimate iterate of 0 is even, and parity.prob_even shares no code with the DP.
+    for length in range(2, 13):
+        assert ultimate_law(C, length)[0] / C**length <= prob_even(C, length - 1), length
+
+
 @pytest.mark.parametrize("dtype", ["uint8", "int64", "object"])
 def test_batch_ultimate_ignores_memory_layout(dtype):
     # C-ordered, Fortran-ordered and strided-view batches give the same values.
@@ -243,7 +271,8 @@ def test_step_array_keeps_column_major_order(dtype, high):
 @pytest.mark.parametrize("call, message", [
     (lambda: stabilization_predicate(np.array([], dtype=np.int64)), "row must have length >= 1"),
     (lambda: iterate_until([1, 2], never, -1), "max_iters must be >= 0"),
-], ids=["predicate-empty-row", "max-iters"])
+    (lambda: ultimate_law(2, 63), "C**L < 2**63; got C = 2, L = 63"),
+], ids=["predicate-empty-row", "max-iters", "law-overflow"])
 def test_bad_arguments_name_the_input(call, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         call()
